@@ -1,7 +1,8 @@
 """Flexibility sets and the metrics derived from them.
 
 The pipeline is: configure reserves, partition the study area, compute
-sensitivities and margins, stack the constraint blocks, then project
+sensitivities and margins (together one :class:`Study`, built once per
+case, reserves and area), stack the constraint blocks, then project
 onto the tie dimensions.  The projected set ``G p_e <= g`` is the
 artifact one operator hands its neighbor: it bounds every feasible
 combination of tie import deviations without revealing internal data.
@@ -22,8 +23,8 @@ version that adds one row band per generator and line outage.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,12 @@ from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outag
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
 from .lp import maximize
-from .network import (AreaView, NetworkCase, ReserveConfig, configure_reserves,
-                      partition)
+from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
+                      configure_reserves, partition)
 from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope, area_2d,
                        bounding_box, contains, project)
-from .sensitivity import (compute_dc_flows, compute_ggdf, compute_lodf,
+from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
+                          compute_dc_flows, compute_ggdf, compute_lodf,
                           compute_ptdf)
 
 _ORIGIN_TOL = 1e-9
@@ -77,48 +79,99 @@ def prepare(case: NetworkCase, spec: FlexibilitySpec):
     return configured, partition(configured)
 
 
+@dataclass(frozen=True)
+class Study:
+    """One area's analysis inputs, built once per (case, reserves, area).
+
+    ``case`` is the reserve-configured case and ``view`` its partition
+    for the area; flows, margins and the PTDF follow from them.  The
+    outage factors are computed on first use: ``ggdf`` covers every
+    unit of the area, ``lodf`` every line of the area.
+    """
+
+    case: NetworkCase
+    view: AreaView
+    flows: ScheduledFlows
+    limits: DeltaLimits
+    ptdf: PtdfMatrix
+
+    @classmethod
+    def build(cls, case: NetworkCase, reserves: ReserveConfig,
+              area: str | None = None) -> "Study":
+        configured = configure_reserves(case, reserves)
+        view = partition(configured, area)
+        flows = compute_dc_flows(configured)
+        limits = compute_delta_limits(configured, view, flows)
+        return cls(configured, view, flows, limits, compute_ptdf(view))
+
+    @property
+    def units(self) -> tuple[Generator, ...]:
+        return tuple(sorted(self.view.area_generators(),
+                            key=lambda g: (g.bus, g.id)))
+
+    @property
+    def dispatched(self) -> tuple[str, ...]:
+        """Default generator outages: every dispatched unit of the area."""
+        return tuple(g.id for g in self.units if g.p_sched_pu > 0.0)
+
+    @cached_property
+    def ggdf(self) -> GgdfMatrix:
+        return compute_ggdf(self.view, self.ptdf, units=self.units)
+
+    @cached_property
+    def lodf(self) -> LodfMatrix:
+        return compute_lodf(self.view)
+
+    def assemble(self, spec: FlexibilitySpec) -> ConstraintBlock:
+        """Stacked constraint block of the flexibility set ``spec``."""
+        for kind, ids, known in (
+                ("units", spec.gen_outages, [g.id for g in self.units]),
+                ("lines", spec.line_outages, self.view.line_ids)):
+            missing = [i for i in ids or () if i not in known]
+            if missing:
+                raise CaseError(f"outage {kind} not in area {self.view.area}: "
+                                f"{', '.join(missing)}")
+        units = self.dispatched if spec.gen_outages is None else spec.gen_outages
+        view, ptdf, limits = self.view, self.ptdf, self.limits
+        block = assemble_nominal(view, ptdf, limits)
+        if spec.security == "n1":
+            gen_block = (assemble_generator_outages(view, ptdf, self.ggdf,
+                                                    limits, units=units)
+                         if units else ConstraintBlock.empty(view.n_i, view.n_e))
+            line_block = assemble_line_outages(
+                view, ptdf, self.lodf, limits, self.flows,
+                outages=spec.line_outages, strict=spec.strict_line_outages)
+            block = stack_n1(block, gen_block, line_block)
+
+        bad = block.b < -_ORIGIN_TOL
+        if np.any(bad):
+            raise InfeasibleSetError(
+                "the scheduled operating point violates security rows",
+                rows=tuple(l for l, v in zip(block.labels, bad) if v))
+        return block
+
+    def export(self, spec: FlexibilitySpec, tol: float = REDUNDANCY_TOL,
+               row_cap: int = DEFAULT_ROW_CAP) -> "ExternalPolytope":
+        """Build the flexibility set ``spec`` asks for and project it."""
+        flex = polytope_from_block(self.assemble(spec), self.view, spec.approach)
+        return export_polytope(flex, self.view, spec, tol=tol, row_cap=row_cap)
+
+    def atc_polytope(self, atc_ab: float | None = None,
+                     atc_ba: float | None = None) -> "ExternalPolytope":
+        """Transfer-capacity polytope; capacities default to the case's."""
+        ab = self.case.atc_a_to_b_pu if atc_ab is None else atc_ab
+        ba = self.case.atc_b_to_a_pu if atc_ba is None else atc_ba
+        if ab is None or ba is None:
+            raise CaseError("transfer capacities are neither in the case "
+                            "nor given explicitly")
+        return build_atc_polytope(self.view, self.limits, ab, ba)
+
+
 def assemble_constraints(case: NetworkCase,
                          spec: FlexibilitySpec) -> tuple[ConstraintBlock, AreaView]:
     """Stacked constraint block of the requested flexibility set."""
-    configured, view = prepare(case, spec)
-    flows = compute_dc_flows(configured)
-    limits = compute_delta_limits(configured, view, flows)
-    ptdf = compute_ptdf(view)
-    block = assemble_nominal(view, ptdf, limits)
-    if spec.security == "n1":
-        area_units = tuple(sorted(view.area_generators(),
-                                  key=lambda g: (g.bus, g.id)))
-        if spec.gen_outages is None:
-            units = tuple(g for g in area_units if g.p_sched_pu > 0.0)
-        else:
-            by_id = {g.id: g for g in area_units}
-            missing = [u for u in spec.gen_outages if u not in by_id]
-            if missing:
-                raise GridflexError(
-                    f"outage units not in area {view.area}: {', '.join(missing)}")
-            units = tuple(by_id[u] for u in spec.gen_outages)
-        if units:
-            ggdf = compute_ggdf(view, ptdf, units=units)
-            gen_block = assemble_generator_outages(view, ptdf, ggdf, limits)
-        else:
-            gen_block = ConstraintBlock.empty(view.n_i, view.n_e)
-
-        lodf = compute_lodf(view)
-        if spec.line_outages is None:
-            outages = lodf.outage_ids
-        else:
-            outages = spec.line_outages
-        line_block = assemble_line_outages(
-            view, ptdf, lodf, limits, flows, outages=outages,
-            strict=spec.strict_line_outages)
-        block = stack_n1(block, gen_block, line_block)
-
-    bad = block.b < -_ORIGIN_TOL
-    if np.any(bad):
-        raise InfeasibleSetError(
-            "the scheduled operating point violates security rows",
-            rows=tuple(l for l, v in zip(block.labels, bad) if v))
-    return block, view
+    study = Study.build(case, spec.reserves)
+    return study.assemble(spec), study.view
 
 
 def polytope_from_block(block: ConstraintBlock, view: AreaView,
@@ -157,14 +210,6 @@ class ExternalPolytope:
         record.update(self.poly.to_json_dict())
         return record
 
-    def dump_json(self, path: str, meta: dict | None = None) -> None:
-        record = self.to_json_dict()
-        if meta:
-            record["meta"].update(meta)
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
 
 def export_polytope(flex_set: HPolytope, view: AreaView,
                     spec: FlexibilitySpec | None = None,
@@ -193,9 +238,7 @@ def external_polytope(case: NetworkCase, spec: FlexibilitySpec,
                       tol: float = REDUNDANCY_TOL,
                       row_cap: int = DEFAULT_ROW_CAP) -> ExternalPolytope:
     """Build and project in one call."""
-    flex_set = build_flexibility_set(case, spec)
-    _, view = prepare(case, spec)
-    return export_polytope(flex_set, view, spec, tol=tol, row_cap=row_cap)
+    return Study.build(case, spec.reserves).export(spec, tol=tol, row_cap=row_cap)
 
 
 @dataclass(frozen=True)
@@ -329,144 +372,120 @@ def compare_utilization(active_fe: ExternalPolytope, atc_fe: ExternalPolytope,
 
 
 class _NeighborModel:
-    """Shared LP pieces for per-bus deviation studies in the neighbor area.
+    """Per-bus deviation LPs in the neighbor area.
 
     Variables are ordered ``[delta, p_B..., p_e..., p_A...]`` where
     ``delta`` is the probed bus disturbance, ``p_B`` the neighbor's own
     reserve deviations (one per source bus), ``p_e`` the tie imports in
     the exporter's convention, and ``p_A`` (transfer-capacity mode
     only) the exporter's aggregate unit deviations.
+
+    The neighbor's line rows are built once, over a PTDF whose internal
+    columns are extended by one bus column per neighbor bus: the
+    ``delta`` column of a probed bus is then a column slice.  Rows cover
+    the internal lines only (tie rows are dropped by their label), the
+    tie columns are flipped into the exporter's convention, and with
+    security the outage bands come from the exporter's assemblers with
+    the line outages pinned to internal lines.
     """
 
-    def __init__(self, case: NetworkCase, neighbor_reserves: ReserveConfig,
-                 include_security: bool = False):
-        self.case = case
-        configured = configure_reserves(case, neighbor_reserves)
-        self.view = partition(configured, area=case.neighbor_area)
-        self.flows = compute_dc_flows(configured)
-        self.ptdf = compute_ptdf(self.view)
-        self.limits = compute_delta_limits(configured, self.view, self.flows)
-        self.n_b = self.view.n_i
-        self.n_e = self.view.n_e
-        n_int = len(self.view.internal_lines)
-        self.h_int_i = self.ptdf.h_i[:n_int]
-        self.h_int_e = self.ptdf.h_e[:n_int]
-        self.up = self.limits.line_up[:n_int]
-        self.dn = self.limits.line_dn[:n_int]
-        self.gen_outage_blocks = []
-        self.line_outage_blocks = []
+    def __init__(self, study: Study, include_security: bool = False):
+        view, ptdf, limits = study.view, study.ptdf, study.limits
+        self.study = study
+        self.buses = tuple(b.id for b in view.buses)
+        ext = replace(ptdf, h_i=np.hstack(
+            [ptdf.h_i] + [ptdf.bus_column(b)[:, None] for b in self.buses]))
+        n_int = len(view.internal_lines)
+        nominal = np.hstack([ext.h_i, ext.h_e])[:n_int]
+        a_rows = [nominal, -nominal]
+        b_rows = [limits.line_up[:n_int], -limits.line_dn[:n_int]]
         if include_security:
-            self._build_security_blocks(n_int)
+            internal = tuple(ln.id for ln in view.internal_lines)
+            tie_rows = tuple(f":line:{t.line.id}:{side}"
+                             for t in view.ties for side in ("up", "dn"))
+            outages = tuple(o for o in study.lodf.outage_ids if o in internal)
+            for blk in (assemble_generator_outages(view, ext, study.ggdf,
+                                                   limits, study.dispatched),
+                        assemble_line_outages(view, ext, study.lodf, limits,
+                                              study.flows, outages=outages)):
+                keep = [not label.endswith(tie_rows) for label in blk.labels]
+                a_rows.append(np.hstack([blk.c_i, blk.c_e])[keep])
+                b_rows.append(blk.b[keep])
+        a = np.vstack(a_rows)
+        n_b = view.n_i
+        # Columns [delta per bus..., p_B..., p_e...], ties flipped.
+        self.a_ub = np.hstack([a[:, n_b:ext.h_i.shape[1]], a[:, :n_b],
+                               -a[:, ext.h_i.shape[1]:]])
+        self.b_ub = np.concatenate(b_rows)
 
-    def _build_security_blocks(self, n_int: int):
-        """Neighbor-side outage bands; delta columns are bound per probed bus."""
-        view, ptdf, limits = self.view, self.ptdf, self.limits
-        ggdf = compute_ggdf(view, ptdf)
-        lodf = compute_lodf(view)
-        for j in range(len(ggdf.unit_ids)):
-            g_col = ggdf.matrix[:n_int, j]
-            shift = g_col * ggdf.p_gen_pu[j]
-            q_b = self.h_int_i.copy()
-            bus = ggdf.unit_buses[j]
-            if bus in view.source_buses:
-                q_b[:, view.source_buses.index(bus)] += g_col
-            self.gen_outage_blocks.append(
-                (q_b, limits.line_up[:n_int] - shift,
-                 limits.line_dn[:n_int] + shift))
-        internal_ids = {ln.id for ln in view.internal_lines}
-        for oid in lodf.outage_ids:
-            if oid not in internal_ids:
-                continue
-            mask, l_col = lodf.column(oid)
-            mask, l_int = mask[:n_int], l_col[:n_int]
-            k = view.line_ids.index(oid)
-            shift = (l_int * self.flows.flow(oid))[mask]
-            self.line_outage_blocks.append(
-                (k, l_int[mask],
-                 limits.line_up[:n_int][mask] - shift,
-                 limits.line_dn[:n_int][mask] + shift))
-
-    def solve(self, bus: int, mode: str, imported: ExternalPolytope):
-        view = self.view
-        if not any(b.id == bus for b in view.buses):
-            raise CaseError(f"bus {bus} is not in area {view.area}", bus)
+    def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
+        """``(max_up, max_dn)`` of every bus in ``buses`` under ``mode``."""
+        view, limits = self.study.view, self.study.limits
+        for bus in buses:
+            if bus not in self.buses:
+                raise CaseError(f"bus {bus} is not in area {view.area}", bus)
         if tuple(imported.labels) != view.external_labels:
             raise GridflexError("imported polytope labels do not match the ties")
-        n_b, n_e = self.n_b, self.n_e
-        n_a = 0
+        n_bus, n_b, n_e = len(self.buses), view.n_i, view.n_e
         exporter_units = ()
         if mode == "atc":
             exporter_units = tuple(sorted(
-                self.case.area_generators(self.case.study_area),
+                view.case.area_generators(view.neighbor),
                 key=lambda g: (g.bus, g.id)))
-            n_a = len(exporter_units)
+        n_a = len(exporter_units)
         n_var = 1 + n_b + n_e + n_a
-        delta_col = self.ptdf.bus_column(bus)[: len(self.view.internal_lines)]
+        a_ub = np.vstack([
+            np.hstack([self.a_ub, np.zeros((self.a_ub.shape[0], n_a))]),
+            np.hstack([np.zeros((imported.poly.nrows, n_bus + n_b)),
+                       imported.poly.A, np.zeros((imported.poly.nrows, n_a))])])
+        b_ub = np.concatenate([self.b_ub, imported.poly.b])
 
-        band = np.hstack([
-            delta_col[:, None], self.h_int_i, -self.h_int_e,
-            np.zeros((len(delta_col), n_a)),
-        ])
-        a_rows = [band, -band]
-        b_rows = [self.up, -self.dn]
-        for q_b, off_up, off_dn in self.gen_outage_blocks:
-            block = np.hstack([
-                delta_col[:, None], q_b, -self.h_int_e,
-                np.zeros((q_b.shape[0], n_a))])
-            a_rows.extend([block, -block])
-            b_rows.extend([off_up, -off_dn])
-        for k, l_masked, off_up, off_dn in self.line_outage_blocks:
-            full_row = np.concatenate([
-                [delta_col[k]], self.ptdf.h_i[k], -self.ptdf.h_e[k],
-                np.zeros(n_a)])
-            block = np.outer(l_masked, full_row)
-            a_rows.extend([block, -block])
-            b_rows.extend([off_up, -off_dn])
-        imp = np.hstack([
-            np.zeros((imported.poly.nrows, 1 + n_b)), imported.poly.A,
-            np.zeros((imported.poly.nrows, n_a))])
-        a_rows.append(imp)
-        b_rows.append(imported.poly.b)
-        a_ub = np.vstack(a_rows)
-        b_ub = np.concatenate(b_rows)
-
-        balance = np.zeros((1, n_var))
-        balance[0, 0] = 1.0
-        balance[0, 1:1 + n_b] = 1.0
-        balance[0, 1 + n_b:1 + n_b + n_e] = -1.0
+        balance = np.zeros(n_var)
+        balance[:1 + n_b] = 1.0
+        balance[1 + n_b:1 + n_b + n_e] = -1.0
         a_eq = [balance]
-        b_eq = [0.0]
         if mode == "atc":
-            coupling = np.zeros((1, n_var))
-            coupling[0, 1 + n_b:1 + n_b + n_e] = 1.0
-            coupling[0, 1 + n_b + n_e:] = 1.0
+            coupling = np.zeros(n_var)
+            coupling[1 + n_b:] = 1.0
             a_eq.append(coupling)
-            b_eq.append(0.0)
-        a_eq = np.vstack(a_eq)
-        b_eq = np.array(b_eq)
+        a_eq = np.array(a_eq)
+        b_eq = np.zeros(len(a_eq))
+        bounds = ([(None, None)]
+                  + list(zip(limits.bus_dn.tolist(), limits.bus_up.tolist()))
+                  + [(None, None)] * n_e
+                  + [(g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu)
+                     for g in exporter_units])
 
-        bounds = [(None, None)]
-        for j in range(n_b):
-            bounds.append((float(self.limits.bus_dn[j]), float(self.limits.bus_up[j])))
-        bounds.extend([(None, None)] * n_e)
-        for g in exporter_units:
-            bounds.append((g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu))
-
+        rest = list(range(n_bus, a_ub.shape[1]))
         results = []
-        for sign in (1.0, -1.0):
-            c = np.zeros(n_var)
-            c[0] = sign
-            res = maximize(c, a_ub, b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
-            if res.status == "infeasible":
-                raise InfeasibleSetError(
-                    f"deviation study infeasible at bus {bus} (mode {mode})")
-            if res.status == "unbounded":
-                raise UnboundedSetError(
-                    f"deviation study unbounded at bus {bus} (mode {mode}); "
-                    "a bound is missing")
-            results.append(sign * res.value)
-        up, dn = results
-        return float(up), float(dn)
+        for bus in buses:
+            a_bus = a_ub[:, [self.buses.index(bus)] + rest]
+            up_dn = []
+            for sign in (1.0, -1.0):
+                c = np.zeros(n_var)
+                c[0] = sign
+                res = maximize(c, a_bus, b_ub, a_eq=a_eq, b_eq=b_eq,
+                               bounds=bounds)
+                if res.status == "infeasible":
+                    raise InfeasibleSetError(
+                        f"deviation study infeasible at bus {bus} (mode {mode})")
+                if res.status == "unbounded":
+                    raise UnboundedSetError(
+                        f"deviation study unbounded at bus {bus} (mode {mode}); "
+                        "a bound is missing")
+                up_dn.append(float(sign * res.value))
+            results.append(tuple(up_dn))
+        return results
+
+
+_DEVIATION_MODES = ("passive", "active", "atc")
+
+
+def _check_modes(modes) -> None:
+    bad = [m for m in modes if m not in _DEVIATION_MODES]
+    if bad:
+        raise CaseError(f"unknown deviation mode '{bad[0]}'; valid modes "
+                        f"are {', '.join(_DEVIATION_MODES)}")
 
 
 def max_nodal_deviation(case: NetworkCase, bus: int, mode: str, *,
@@ -483,16 +502,16 @@ def max_nodal_deviation(case: NetworkCase, bus: int, mode: str, *,
     side is a bare aggregate of unit bands with no network model).
     Returns ``(max_up, max_dn)`` with ``max_up >= 0 >= max_dn``.
     """
-    if mode not in ("passive", "active", "atc"):
-        raise GridflexError(f"unknown deviation mode '{mode}'")
+    _check_modes((mode,))
     if neighbor_reserves is None:
         if reserve_fraction is None:
             raise GridflexError(
                 "either reserve_fraction or neighbor_reserves is required")
         neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
-    model = _NeighborModel(case, neighbor_reserves,
+    model = _NeighborModel(Study.build(case, neighbor_reserves, case.neighbor_area),
                            include_security=include_neighbor_security)
-    return model.solve(bus, mode, imported)
+    (bounds,) = model.solve(mode, imported, (bus,))
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -536,35 +555,26 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
     default to full redispatch), and the transfer-capacity polytope
     from the case ATC values unless overridden.
     """
+    _check_modes(modes)
     if exporter_reserves is None:
         exporter_reserves = ReserveConfig(mode="full")
+    exporter = Study.build(case, exporter_reserves)
     imported: dict[str, ExternalPolytope] = {}
-    if "passive" in modes:
-        imported["passive"] = external_polytope(
-            case, FlexibilitySpec("passive", security, exporter_reserves), tol=tol)
-    if "active" in modes:
-        imported["active"] = external_polytope(
-            case, FlexibilitySpec("active", security, exporter_reserves), tol=tol)
     if "atc" in modes:
-        ab = case.atc_a_to_b_pu if atc_ab is None else atc_ab
-        ba = case.atc_b_to_a_pu if atc_ba is None else atc_ba
-        if ab is None or ba is None:
-            raise GridflexError("transfer capacities are neither in the case "
-                                "nor given explicitly")
-        configured, view = prepare(case, FlexibilitySpec("active", "n",
-                                                         exporter_reserves))
-        flows = compute_dc_flows(configured)
-        limits = compute_delta_limits(configured, view, flows)
-        imported["atc"] = build_atc_polytope(view, limits, ab, ba)
+        imported["atc"] = exporter.atc_polytope(atc_ab, atc_ba)
+    for approach in ("passive", "active"):
+        if approach in modes:
+            imported[approach] = exporter.export(
+                FlexibilitySpec(approach, security, exporter_reserves), tol=tol)
 
+    neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
     model = _NeighborModel(
-        case, ReserveConfig(mode="fraction", fraction=reserve_fraction),
+        Study.build(case, neighbor_reserves, case.neighbor_area),
         include_security=include_neighbor_security)
-    rows = []
-    for b in sorted(bus.id for bus in model.view.buses):
-        for mode in modes:
-            up, dn = model.solve(b, mode, imported[mode])
-            rows.append((b, mode, up, dn))
+    bounds = {mode: model.solve(mode, imported[mode], model.buses)
+              for mode in modes}
+    rows = [(b, mode, *bounds[mode][k])
+            for k, b in enumerate(model.buses) for mode in modes]
     return NodalDeviationReport(
         reserve_fraction=reserve_fraction,
         rows=tuple(rows),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -18,10 +19,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .analysis import (FlexibilitySpec, build_atc_polytope,
-                       compare_utilization, exported_flexibility,
-                       export_polytope, nodal_deviation_report, prepare)
-from .constraints import compute_delta_limits
+from .analysis import (FlexibilitySpec, Study,
+                       assemble_constraints, compare_utilization,
+                       export_polytope, exported_flexibility,
+                       external_polytope, nodal_deviation_report,
+                       polytope_from_block)
 from .errors import CaseError, GridflexError
 from .network import ReserveConfig, load_case, partition, scale_load
 from .polytope import (HPolytope, project, remove_redundant, vertices_2d,
@@ -32,9 +34,10 @@ _EXIT_COMPUTE = 1
 _EXIT_USAGE = 2
 
 
-def _config_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _split(text: str | None) -> tuple[str, ...] | None:
+    if not text:
+        return None
+    return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
 def _sanitize(label: str) -> str:
@@ -48,12 +51,9 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CaseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_EXIT_USAGE)
         except GridflexError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(_EXIT_COMPUTE)
+            sys.exit(_EXIT_USAGE if isinstance(exc, CaseError) else _EXIT_COMPUTE)
 
     return wrapper
 
@@ -117,47 +117,42 @@ def main(ctx, out_dir, feas_tol, redund_tol, contain_tol, row_cap):
         from .lp import set_feasibility_tolerance
 
         set_feasibility_tolerance(feas_tol)
-    ctx.obj = {
-        "out_dir": out_dir or ".",
-        "feas_tol": feas_tol,
-        "redund_tol": redund_tol,
-        "contain_tol": contain_tol,
-        "row_cap": row_cap,
-    }
+    ctx.obj = dict(ctx.params, out_dir=out_dir or ".")
 
 
-def _load(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units):
+def _setup(ctx, opts: dict):
+    """Case, reserves, flexibility spec (for commands that take one) and
+    the metadata every artifact of the command carries.
+
+    The configuration hash covers the command, its options, the case
+    content and every global option that can change an artifact.
+    """
+    scale = opts["scale"]
     if not 0.0 < scale <= 1.0:
         raise CaseError(f"--scale must lie in (0, 1], got {scale}")
-    case = load_case(case_path)
+    case = load_case(opts["case_path"])
     if scale != 1.0:
         case = scale_load(case, scale)
-    units = None
-    if reserve_units:
-        units = tuple(u.strip() for u in reserve_units.split(",") if u.strip())
-    reserves = ReserveConfig(mode=reserve_mode, fraction=reserve_fraction,
-                             units=units)
-    config = {
-        "case_hash": case.case_hash(),
-        "scale": scale,
-        "reserves": reserves.describe(),
-        "redund_tol": ctx.obj["redund_tol"],
-        "row_cap": ctx.obj["row_cap"],
-    }
-    return case, reserves, config
-
-
-def _spec(reserves, approach, security, gen_outages, line_outages,
-          strict_line_outages) -> FlexibilitySpec:
-    split = lambda s: tuple(x.strip() for x in s.split(",") if x.strip())
-    return FlexibilitySpec(
-        approach=approach,
-        security=security,
-        reserves=reserves,
-        gen_outages=split(gen_outages) if gen_outages else None,
-        line_outages=split(line_outages) if line_outages else None,
-        strict_line_outages=strict_line_outages,
-    )
+    reserves = ReserveConfig(mode=opts["reserve_mode"],
+                             fraction=opts["reserve_fraction"],
+                             units=_split(opts["reserve_units"]))
+    spec = None
+    if "approach" in opts:
+        spec = FlexibilitySpec(
+            approach=opts["approach"],
+            security=opts["security"],
+            reserves=reserves,
+            gen_outages=_split(opts["gen_outages"]),
+            line_outages=_split(opts["line_outages"]),
+            strict_line_outages=opts["strict_line_outages"],
+        )
+    config = {k: v for k, v in {**ctx.obj, **opts}.items()
+              if k not in ("out_dir", "case_path")}
+    config.update(command=ctx.info_name, case_hash=case.case_hash())
+    blob = json.dumps(config, sort_keys=True).encode()
+    meta = {"config_hash": hashlib.sha256(blob).hexdigest(),
+            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
+    return case, reserves, spec, meta
 
 
 def _out_path(ctx, name: str) -> str:
@@ -166,24 +161,24 @@ def _out_path(ctx, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_json(ctx, name: str, record: dict, meta: dict) -> str:
+    """Write one JSON artifact; ``meta`` is merged into its ``meta`` record."""
+    record = {**record, "meta": {**record.get("meta", {}), **meta}}
+    path = _out_path(ctx, name)
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 @main.command()
 @case_options
 @spec_options
 @click.pass_context
 @_guard
-def build(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units,
-          approach, security, gen_outages, line_outages, strict_line_outages):
+def build(ctx, **opts):
     """Build the flexibility set and its tie-deviation projection."""
-    case, reserves, config = _load(ctx, case_path, scale, reserve_mode,
-                                   reserve_fraction, reserve_units)
-    spec = _spec(reserves, approach, security, gen_outages, line_outages,
-                 strict_line_outages)
-    config["spec"] = spec.describe()
-    meta = {"config_hash": _config_hash(config),
-            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
-
-    from .analysis import assemble_constraints, polytope_from_block
-
+    case, _, spec, meta = _setup(ctx, opts)
     block, view = assemble_constraints(case, spec)
     flex = polytope_from_block(block, view, spec.approach)
     started = time.perf_counter()
@@ -191,10 +186,8 @@ def build(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units,
                          row_cap=ctx.obj["row_cap"])
     elapsed = time.perf_counter() - started
 
-    set_path = _out_path(ctx, "flexibility_set.json")
-    block.dump_json(set_path, meta=meta)
-    poly_path = _out_path(ctx, "external_polytope.json")
-    fe.dump_json(poly_path, meta=meta)
+    set_path = _write_json(ctx, "flexibility_set.json", block.to_json_dict(), meta)
+    poly_path = _write_json(ctx, "external_polytope.json", fe.to_json_dict(), meta)
 
     click.echo(f"{'stage':<28}{'rows':>8}")
     click.echo(f"{'assembled constraints':<28}{block.nrows:>8}")
@@ -210,29 +203,13 @@ def build(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units,
 @spec_options
 @click.pass_context
 @_guard
-def metrics(ctx, case_path, scale, reserve_mode, reserve_fraction,
-            reserve_units, approach, security, gen_outages, line_outages,
-            strict_line_outages):
+def metrics(ctx, **opts):
     """Exported flexibility: pairwise projection areas and their sum."""
-    case, reserves, config = _load(ctx, case_path, scale, reserve_mode,
-                                   reserve_fraction, reserve_units)
-    spec = _spec(reserves, approach, security, gen_outages, line_outages,
-                 strict_line_outages)
-    config["spec"] = spec.describe()
-    meta = {"config_hash": _config_hash(config),
-            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
-
-    from .analysis import external_polytope
-
+    case, _, spec, meta = _setup(ctx, opts)
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])
     report = exported_flexibility(fe)
-    path = _out_path(ctx, "exported_flexibility.json")
-    record = report.to_json_dict()
-    record["meta"].update(meta)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path = _write_json(ctx, "exported_flexibility.json", report.to_json_dict(), meta)
     click.echo(f"{'tie pair':<40}{'area (pu^2)':>14}")
     for x, y, area in report.pair_areas:
         click.echo(f"{x + ' / ' + y:<40}{area:>14.4f}")
@@ -249,39 +226,14 @@ def metrics(ctx, case_path, scale, reserve_mode, reserve_fraction,
               help="Transfer capacity neighbor->study (default: case value).")
 @click.pass_context
 @_guard
-def atc(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units,
-        approach, security, gen_outages, line_outages, strict_line_outages,
-        atc_ab, atc_ba):
+def atc(ctx, **opts):
     """Compare the active tie polytope against the transfer-capacity set."""
-    case, reserves, config = _load(ctx, case_path, scale, reserve_mode,
-                                   reserve_fraction, reserve_units)
-    spec = _spec(reserves, approach, security, gen_outages, line_outages,
-                 strict_line_outages)
-    ab = case.atc_a_to_b_pu if atc_ab is None else atc_ab
-    ba = case.atc_b_to_a_pu if atc_ba is None else atc_ba
-    if ab is None or ba is None:
-        raise CaseError("transfer capacities are neither in the case file "
-                        "nor given via --atc-ab/--atc-ba")
-    config["spec"] = spec.describe()
-    config["atc"] = [ab, ba]
-    meta = {"config_hash": _config_hash(config),
-            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
-
-    from .analysis import external_polytope
-
-    fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
-                           row_cap=ctx.obj["row_cap"])
-    configured, view = prepare(case, spec)
-    flows = compute_dc_flows(configured)
-    limits = compute_delta_limits(configured, view, flows)
-    atc_fe = build_atc_polytope(view, limits, ab, ba)
+    case, _, spec, meta = _setup(ctx, opts)
+    study = Study.build(case, spec.reserves)
+    atc_fe = study.atc_polytope(opts["atc_ab"], opts["atc_ba"])
+    fe = study.export(spec, tol=ctx.obj["redund_tol"], row_cap=ctx.obj["row_cap"])
     comparison = compare_utilization(fe, atc_fe, tol=ctx.obj["contain_tol"])
-    path = _out_path(ctx, "atc_comparison.json")
-    record = {"meta": meta}
-    record.update(comparison.to_json_dict())
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path = _write_json(ctx, "atc_comparison.json", comparison.to_json_dict(), meta)
     click.echo(f"active within transfer set: {comparison.active_within_atc}")
     click.echo(f"transfer set within active: {comparison.atc_within_active}")
     click.echo(f"total areas (pu^2): active {comparison.total_active:.4f}, "
@@ -304,23 +256,17 @@ def atc(ctx, case_path, scale, reserve_mode, reserve_fraction, reserve_units,
               help="Apply the neighbor's own outage bands in the LPs.")
 @click.pass_context
 @_guard
-def maxdev(ctx, case_path, scale, reserve_mode, reserve_fraction,
-           reserve_units, reserve_pct, modes, security, atc_ab, atc_ba,
-           neighbor_security):
+def maxdev(ctx, **opts):
     """Per-bus maximum deviations in the neighbor area."""
-    case, reserves, config = _load(ctx, case_path, scale, reserve_mode,
-                                   reserve_fraction, reserve_units)
-    mode_list = tuple(m.strip() for m in modes.split(",") if m.strip())
-    exporter = reserves if reserve_mode != "file" else ReserveConfig(mode="full")
-    config.update({"reserve_pct": reserve_pct, "modes": list(mode_list),
-                   "security": security, "neighbor_security": neighbor_security})
-    meta = {"config_hash": _config_hash(config),
-            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
+    case, reserves, _, meta = _setup(ctx, opts)
+    exporter = (reserves if opts["reserve_mode"] != "file"
+                else ReserveConfig(mode="full"))
     report = nodal_deviation_report(
-        case, reserve_fraction=reserve_pct, modes=mode_list,
-        exporter_reserves=exporter, security=security,
-        atc_ab=atc_ab, atc_ba=atc_ba,
-        include_neighbor_security=neighbor_security,
+        case, reserve_fraction=opts["reserve_pct"],
+        modes=_split(opts["modes"]) or (), exporter_reserves=exporter,
+        security=opts["security"],
+        atc_ab=opts["atc_ab"], atc_ba=opts["atc_ba"],
+        include_neighbor_security=opts["neighbor_security"],
         tol=ctx.obj["redund_tol"])
     path = _out_path(ctx, "max_deviations.csv")
     report.to_csv(path, meta=meta)
@@ -337,22 +283,10 @@ def maxdev(ctx, case_path, scale, reserve_mode, reserve_fraction,
               help="Fixed coordinate value for 2-D cuts of 3-D sets.")
 @click.pass_context
 @_guard
-def plotdata(ctx, case_path, scale, reserve_mode, reserve_fraction,
-             reserve_units, approach, security, gen_outages, line_outages,
-             strict_line_outages, slice_at):
+def plotdata(ctx, **opts):
     """Vertex CSVs for every tie pair projection and fixed-coordinate cut."""
-    case, reserves, config = _load(ctx, case_path, scale, reserve_mode,
-                                   reserve_fraction, reserve_units)
-    spec = _spec(reserves, approach, security, gen_outages, line_outages,
-                 strict_line_outages)
-    config["spec"] = spec.describe()
-    config["slice_at"] = slice_at
-    meta = {"config_hash": _config_hash(config),
-            "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
-
-    from .analysis import external_polytope
-    import itertools
-
+    case, _, spec, meta = _setup(ctx, opts)
+    slice_at = opts["slice_at"]
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])
     labels = fe.labels

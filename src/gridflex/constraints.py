@@ -17,7 +17,6 @@ tracks the base-case deviation flow is available behind a flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,13 +157,6 @@ class ConstraintBlock:
         return cls(as_matrix(raw["C_i"]), as_matrix(raw["C_e"]),
                    np.array(raw["b"], dtype=float), tuple(raw["labels"]))
 
-    def dump_json(self, path: str, meta: dict | None = None) -> None:
-        record = {} if meta is None else {"meta": meta}
-        record.update(self.to_json_dict())
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
 
 def _drop_vacuous(c_i, c_e, b, labels):
     """Drop rows with (numerically) no coefficients and a nonnegative offset."""
@@ -248,7 +240,7 @@ def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
             (f"G:{uid}:line:{l}:up" for l in limits.line_ids),
             (f"G:{uid}:line:{l}:dn" for l in limits.line_ids))
         blocks.append(_drop_vacuous(c_i, c_e, b, labels))
-    return _concat_blocks(blocks, view.n_i, view.n_e)
+    return _concat_blocks(blocks, ptdf.h_i.shape[1], view.n_e)
 
 
 def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
@@ -261,11 +253,13 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     against the margins tightened by ``L_j * sched_j`` on both sides.
     The strict variant instead bounds the physical post-outage flow,
     adding the base deviation term and flipping the lower-side constant.
-    Bridges must have been excluded upstream.
+    Bridges must have been excluded upstream.  The internal columns are
+    those of ``ptdf.h_i``, which may carry more than the view's sources.
     """
     if outages is None:
         outages = lodf.outage_ids
     flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
+    n_i = ptdf.h_i.shape[1]
     n_rows = len(view.line_ids)
     orient = np.ones(n_rows)
     for j, tie in enumerate(view.ties):
@@ -282,17 +276,17 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
             k = view.line_ids.index(oid)
             row = orient[k] * np.concatenate([ptdf.h_i[k], ptdf.h_e[k]])
         else:
-            row = np.zeros(view.n_i + view.n_e)
+            row = np.zeros(n_i + view.n_e)
         sched = flow_of[oid]
         r = np.outer(l_col, row)
         shift = l_col * sched
         if strict:
-            m_i = ptdf.h_i + r[:, :view.n_i]
-            m_e = ptdf.h_e + r[:, view.n_i:]
+            m_i = ptdf.h_i + r[:, :n_i]
+            m_e = ptdf.h_e + r[:, n_i:]
             upper = limits.line_up - shift
             lower = limits.line_dn - shift
         else:
-            m_i, m_e = r[:, :view.n_i], r[:, view.n_i:]
+            m_i, m_e = r[:, :n_i], r[:, n_i:]
             upper = limits.line_up - shift
             lower = limits.line_dn + shift
         c_i, c_e, b, labels = _band_rows(
@@ -300,7 +294,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
             (f"L:{oid}:line:{l}:up" for l, m in zip(limits.line_ids, mask) if m),
             (f"L:{oid}:line:{l}:dn" for l, m in zip(limits.line_ids, mask) if m))
         blocks.append(_drop_vacuous(c_i, c_e, b, labels))
-    return _concat_blocks(blocks, view.n_i, view.n_e)
+    return _concat_blocks(blocks, n_i, view.n_e)
 
 
 def _concat_blocks(blocks, n_i, n_e) -> ConstraintBlock:

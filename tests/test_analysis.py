@@ -264,6 +264,49 @@ def test_neighbor_security_only_tightens(rts_case):
     assert abs(sec_dn) <= abs(base_dn) + 1e-9
 
 
+# Neighbor-security bounds on RTS-96 at 10% neighbor reserves, recorded
+# with the original per-bus neighbor model (exporter security ``n``).
+NEIGHBOR_SECURITY_BOUNDS = {
+    (203, "passive"): (2.0801634544268413, -2.634615384615387),
+    (203, "active"): (3.4083475930260025, -5.416616296366816),
+    (203, "atc"): (3.398312213277889, -3.8346153846153865),
+    (206, "passive"): (1.4051261357600593, -0.7052802314410448),
+    (206, "active"): (1.5079060373671818, -0.7294786436160057),
+    (206, "atc"): (1.5050247852905467, -0.7269043955299376),
+    (214, "passive"): (2.7584587953560633, -2.634615384615385),
+    (214, "active"): (3.1958108903919213, -3.0132707678104875),
+    (214, "atc"): (3.1941708977674725, -3.0132707678104875),
+    (224, "passive"): (1.3673914451647493, -2.6346153846153837),
+    (224, "active"): (2.1519050362566383, -5.092070911701704),
+    (224, "atc"): (2.1519050362566388, -3.834615384615383),
+}
+
+
+def test_neighbor_security_report_pinned(rts_case):
+    rep = nodal_deviation_report(rts_case, reserve_fraction=0.1,
+                                 include_neighbor_security=True)
+    assert len(rep.rows) == 24 * 3
+    for (bus, mode), (up, dn) in NEIGHBOR_SECURITY_BOUNDS.items():
+        got_up, got_dn = rep.bounds(bus, mode)
+        assert got_up == pytest.approx(up, abs=1e-9), (bus, mode)
+        assert got_dn == pytest.approx(dn, abs=1e-9), (bus, mode)
+
+
+def test_report_rejects_unknown_mode_before_solving(toy_case):
+    with pytest.raises(GridflexError, match="valid modes"):
+        nodal_deviation_report(toy_case, reserve_fraction=0.05,
+                               modes=("passive", "bogus"))
+
+
+def test_unknown_outage_ids_are_case_errors(toy_case):
+    from gridflex import CaseError
+    for spec in (FlexibilitySpec("active", "n1", gen_outages=("NOPE",)),
+                 FlexibilitySpec("active", "n1", gen_outages=(),
+                                 line_outages=("NOPE",))):
+        with pytest.raises(CaseError, match="NOPE"):
+            build_flexibility_set(toy_case, spec)
+
+
 def test_report_csv_output(tmp_path, toy_case):
     rep = nodal_deviation_report(toy_case, reserve_fraction=0.05,
                                  modes=("passive", "active"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridflex import HPolytope
+from gridflex import HPolytope, lp
 from gridflex.cli import main
 
 from conftest import data_path
@@ -106,13 +106,65 @@ def test_atc_comparison(runner, tmp_path):
 
 
 def test_atc_without_values_exits_2(runner, tmp_path):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "atc", "--case",
+        _case_without_atc(tmp_path)])
+    assert result.exit_code == 2
+    assert "transfer capacities" in result.output
+
+
+def _case_without_atc(tmp_path):
     raw = json.loads(open(_toy()).read())
     del raw["atc"]
     case_path = tmp_path / "no_atc.json"
     case_path.write_text(json.dumps(raw))
+    return str(case_path)
+
+
+def test_maxdev_without_atc_values_exits_2(runner, tmp_path):
     result = runner.invoke(main, [
-        "--out-dir", str(tmp_path), "atc", "--case", str(case_path)])
+        "--out-dir", str(tmp_path), "maxdev", "--case",
+        _case_without_atc(tmp_path)])
     assert result.exit_code == 2
+    assert "transfer capacities" in result.output
+
+
+def test_maxdev_unknown_mode_exits_2(runner, tmp_path):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "maxdev", "--case", _toy(),
+        "--modes", "passive,bogus"])
+    assert result.exit_code == 2
+    assert "bogus" in result.output
+    assert "passive, active, atc" in result.output
+    assert not (tmp_path / "max_deviations.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--gen-outages", "--line-outages"])
+def test_unknown_outage_ids_exit_2(runner, tmp_path, flag):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "build", "--case", _toy(),
+        "--security", "n1", flag, "NOPE"])
+    assert result.exit_code == 2
+    assert "NOPE" in result.output
+
+
+def _config_hash(runner, out_dir, *global_opts):
+    result = runner.invoke(main, [
+        "--out-dir", str(out_dir), *global_opts, "metrics", "--case", _toy()])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out_dir / "exported_flexibility.json").read_text())
+    return report["meta"]["config_hash"]
+
+
+def test_config_hash_covers_tolerances(runner, tmp_path, monkeypatch):
+    # --feas-tol changes the LP backend's options for the whole process;
+    # keep the change inside this test.
+    monkeypatch.setattr(lp, "_BACKEND_OPTIONS", {})
+    first = _config_hash(runner, tmp_path / "a", "--feas-tol", "1e-8")
+    assert _config_hash(runner, tmp_path / "b", "--feas-tol", "1e-8") == first
+    assert _config_hash(runner, tmp_path / "c", "--feas-tol", "1e-3") != first
+    assert _config_hash(runner, tmp_path / "d",
+                        "--contain-tol", "1e-5") != first
 
 
 def test_maxdev_csv(runner, tmp_path):
