@@ -36,8 +36,9 @@ from .errors import (CaseError, GridflexError, InfeasibleSetError,
 from .lp import maximize
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
-from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope, area_2d,
-                       bounding_box, contains, project)
+from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
+                       bounding_box, contains, hull_2d, polygon_area, project,
+                       vertices)
 from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
                           compute_dc_flows, compute_ggdf, compute_lodf,
                           compute_ptdf)
@@ -262,27 +263,21 @@ class ExportedFlexibilityReport:
 def exported_flexibility(fe: ExternalPolytope) -> ExportedFlexibilityReport:
     """Sum of the areas of every projection onto a pair of tie axes.
 
+    Each projection is the hull of two columns of the set's vertices.
     With a single tie there are no pairs; the metric degrades to the
     length of the feasible import interval (in pu rather than pu^2).
     """
     labels = fe.labels
     if len(labels) < 1:
         raise GridflexError("external polytope has no tie dimensions")
-    if len(labels) == 1:
-        lo, hi = bounding_box(fe.poly)
-        return ExportedFlexibilityReport(
-            pair_areas=(), total=float(hi[0] - lo[0]),
-            provenance=dict(fe.provenance))
-    pairs = []
-    total = 0.0
-    for x, y in itertools.combinations(labels, 2):
-        shadow = project(fe.poly, [x, y])
-        area = area_2d(shadow)
-        pairs.append((x, y, area))
+    verts = vertices(fe.poly)
+    pairs = tuple((labels[i], labels[j], polygon_area(hull_2d(verts[:, [i, j]])))
+                  for i, j in itertools.combinations(range(len(labels)), 2))
+    total = float(np.ptp(verts)) if len(labels) == 1 else 0.0
+    for *_, area in pairs:
         total += area
-    return ExportedFlexibilityReport(
-        pair_areas=tuple(pairs), total=float(total),
-        provenance=dict(fe.provenance))
+    return ExportedFlexibilityReport(pair_areas=pairs, total=float(total),
+                                     provenance=dict(fe.provenance))
 
 
 def build_atc_polytope(view: AreaView, limits: DeltaLimits,

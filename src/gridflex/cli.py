@@ -18,7 +18,7 @@ import time
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, lp
 from .analysis import (FlexibilitySpec, Study,
                        assemble_constraints, compare_utilization,
                        export_polytope, exported_flexibility,
@@ -26,8 +26,7 @@ from .analysis import (FlexibilitySpec, Study,
                        polytope_from_block)
 from .errors import CaseError, GridflexError
 from .network import ReserveConfig, load_case, partition, scale_load
-from .polytope import (HPolytope, project, remove_redundant, vertices_2d,
-                       write_vertices_csv)
+from .polytope import HPolytope, hull_2d, vertices, write_vertices_csv
 from .sensitivity import compute_dc_flows
 
 _EXIT_COMPUTE = 1
@@ -99,7 +98,8 @@ def spec_options(fn):
               show_default="current directory",
               help="Directory for output artifacts (env: GRIDFLEX_OUT_DIR).")
 @click.option("--feas-tol", default=1e-8, show_default=True,
-              help="LP feasibility tolerance.")
+              help="LP feasibility tolerance for this command; the default "
+                   "leaves HiGHS at its own 1e-7.")
 @click.option("--redund-tol", default=1e-7, show_default=True,
               help="Redundancy-removal tolerance.")
 @click.option("--contain-tol", default=1e-6, show_default=True,
@@ -114,9 +114,9 @@ def main(ctx, out_dir, feas_tol, redund_tol, contain_tol, row_cap):
         if value <= 0:
             raise click.UsageError(f"--{name} must be positive")
     if feas_tol != 1e-8:
-        from .lp import set_feasibility_tolerance
-
-        set_feasibility_tolerance(feas_tol)
+        ctx.call_on_close(functools.partial(
+            setattr, lp, "_BACKEND_OPTIONS", dict(lp._BACKEND_OPTIONS)))
+        lp.set_feasibility_tolerance(feas_tol)
     ctx.obj = dict(ctx.params, out_dir=out_dir or ".")
 
 
@@ -260,7 +260,7 @@ def maxdev(ctx, **opts):
     """Per-bus maximum deviations in the neighbor area."""
     case, reserves, _, meta = _setup(ctx, opts)
     exporter = (reserves if opts["reserve_mode"] != "file"
-                else ReserveConfig(mode="full"))
+                else ReserveConfig(mode="full", units=reserves.units))
     report = nodal_deviation_report(
         case, reserve_fraction=opts["reserve_pct"],
         modes=_split(opts["modes"]) or (), exporter_reserves=exporter,
@@ -290,34 +290,23 @@ def plotdata(ctx, **opts):
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])
     labels = fe.labels
-    written = []
-    for x, y in itertools.combinations(labels, 2):
-        shadow = project(fe.poly, [x, y], tol=ctx.obj["redund_tol"])
-        verts = vertices_2d(shadow)
-        name = f"proj_{_sanitize(x)}__{_sanitize(y)}.csv"
-        path = _out_path(ctx, name)
-        write_vertices_csv(path, verts, header=f"{x},{y}",
+    verts = vertices(fe.poly)
+    for (i, x), (j, y) in itertools.combinations(enumerate(labels), 2):
+        path = _out_path(ctx, f"proj_{_sanitize(x)}__{_sanitize(y)}.csv")
+        write_vertices_csv(path, hull_2d(verts[:, [i, j]]), header=f"{x},{y}",
                            meta={**meta, "kind": "projection"})
-        written.append(path)
+        click.echo(f"wrote {path}")
     if len(labels) >= 3:
-        for fixed in labels:
-            others = [l for l in labels if l != fixed]
-            k = fe.poly.column(fixed)
-            a = fe.poly.A
-            cut_b = fe.poly.b - a[:, k] * slice_at
-            cut_a = np.delete(a, k, axis=1)
-            cut = remove_redundant(HPolytope(cut_a, cut_b, tuple(others)))
-            shadow = project(cut, others[:2], tol=ctx.obj["redund_tol"]) \
-                if len(others) > 2 else cut
-            verts = vertices_2d(shadow)
-            name = f"cut_{_sanitize(fixed)}.csv"
-            path = _out_path(ctx, name)
-            write_vertices_csv(path, verts, header=",".join(others[:2]),
+        a, b = fe.poly.A, fe.poly.b
+        for k, fixed in enumerate(labels):
+            others = labels[:k] + labels[k + 1:]
+            cut = HPolytope(np.delete(a, k, axis=1), b - a[:, k] * slice_at, others)
+            path = _out_path(ctx, f"cut_{_sanitize(fixed)}.csv")
+            write_vertices_csv(path, hull_2d(vertices(cut)[:, :2]),
+                               header=",".join(others[:2]),
                                meta={**meta, "kind": "cut",
                                      "fixed": fixed, "value": slice_at})
-            written.append(path)
-    for path in written:
-        click.echo(f"wrote {path}")
+            click.echo(f"wrote {path}")
 
 
 @main.command()

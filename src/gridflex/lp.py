@@ -62,6 +62,10 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
     status = _STATUS.get(res.status)
     if status is None:
         raise LPSolverError(f"LP backend failed: {res.message}")
+    # HiGHS presolve reports some unbounded LPs as infeasible.
+    if status == "infeasible" and np.any(c) and maximize(
+            np.zeros_like(c), a_ub, b_ub, a_eq, b_eq, bounds).optimal:
+        status = "unbounded"
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
     return LPResult(status="optimal", x=np.asarray(res.x), value=float(-res.fun))

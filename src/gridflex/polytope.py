@@ -8,10 +8,12 @@ representation instead of letting them explode combinatorially.
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (Chebyshev radius zero) are first-class citizens throughout.
+Every 2-D shadow is the hull of two columns of :func:`vertices`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
 _ZERO_ROW_TOL = 1e-12
 _DUP_DECIMALS = 9
+_HULL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,11 @@ def remove_redundant(poly: HPolytope, tol: float = REDUNDANCY_TOL) -> HPolytope:
     and skips its LP.
     """
     p = normalize_rows(poly)
-    if p.nrows <= 1:
-        feasible, _ = is_feasible(p)
-        if not feasible:
-            raise InfeasibleSetError("cannot reduce an empty polytope")
-        return p
     feasible, witness = is_feasible(p)
     if not feasible:
         raise InfeasibleSetError("cannot reduce an empty polytope")
+    if p.nrows <= 1:
+        return p
 
     a, b = p.A, p.b
     keep = np.ones(p.nrows, dtype=bool)
@@ -383,53 +383,64 @@ def bounding_box(poly: HPolytope):
     return lo, hi
 
 
-def vertices_2d(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
-    """Counterclockwise vertices of a bounded 2-D polytope.
+def vertices(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
+    """Vertices of a bounded polytope: rounded, deduplicated, sorted rows.
 
-    Vertices come from pairwise facet intersections filtered by
-    feasibility; the ordering starts at the lexicographically smallest
-    vertex so repeated runs emit identical output.
+    Every regular ``dim``-row subsystem of the normalized rows meets in
+    one point; the vertices are those points within ``tol`` of all rows.
     """
-    if poly.dim != 2:
-        raise ValueError("vertex enumeration is implemented for 2-D only")
-    p = remove_redundant(poly)
-    lo, hi = bounding_box(p)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if not np.all(np.isfinite(bounding_box(poly))):
         raise UnboundedSetError("polytope is unbounded; no vertex description")
-    a, b = p.A, p.b
-    points = []
-    for i in range(p.nrows):
-        for j in range(i + 1, p.nrows):
-            m = np.array([a[i], a[j]])
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            v = np.linalg.solve(m, np.array([b[i], b[j]]))
-            if np.all(a @ v <= b + tol):
-                points.append(v)
-    if not points:
-        # Degenerate set with no facet intersections: report a single point.
-        radius, center = chebyshev_center(p)
-        return np.array([center]) if center is not None else np.zeros((0, 2))
-    pts = np.array(points)
-    pts = np.unique(np.round(pts, _DUP_DECIMALS), axis=0)
+    p = normalize_rows(poly)
+    combos = itertools.combinations(range(p.nrows), p.dim)
+    found = [np.zeros((0, p.dim))]
+    while len(idx := np.array(list(itertools.islice(combos, 4096)), dtype=int)):
+        idx = idx[np.abs(np.linalg.det(p.A[idx])) >= 1e-12]
+        v = np.linalg.solve(p.A[idx], p.b[idx][..., None])[..., 0]
+        found.append(v[np.all(v @ p.A.T <= p.b + tol, axis=1)])
+    return np.unique(np.round(np.vstack(found), _DUP_DECIMALS), axis=0)
+
+
+def hull_2d(points: np.ndarray) -> np.ndarray:
+    """Convex hull of 2-D points (Andrew's monotone chain), counterclockwise
+    from the lexicographically smallest point.  A point within ``_HULL_TOL``
+    of the chord between its neighbours is no vertex."""
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
     if len(pts) <= 2:
         return pts
-    centroid = pts.mean(axis=0)
-    angles = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
-    order = np.argsort(angles)
-    pts = pts[order]
-    start = np.lexsort((pts[:, 1], pts[:, 0]))[0]
-    return np.roll(pts, -start, axis=0)
+
+    def half(seq):
+        out = []
+        for c in seq:
+            while len(out) > 1:
+                u, w = out[-1] - out[-2], c - out[-2]
+                if u[0] * w[1] - u[1] * w[0] > _HULL_TOL * np.hypot(*w):
+                    break
+                out.pop()
+            out.append(c)
+        return out[:-1]
+
+    return np.array(half(pts) + half(pts[::-1]))
 
 
-def area_2d(poly: HPolytope) -> float:
-    """Polygon area by the shoelace formula over :func:`vertices_2d`."""
-    verts = vertices_2d(poly)
+def polygon_area(verts: np.ndarray) -> float:
+    """Shoelace area of polygon vertices given in order."""
     if len(verts) < 3:
         return 0.0
     x, y = verts[:, 0], verts[:, 1]
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def vertices_2d(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
+    """Vertices of a bounded 2-D polytope in :func:`hull_2d` order."""
+    if poly.dim != 2:
+        raise ValueError("vertex enumeration is implemented for 2-D only")
+    return hull_2d(vertices(poly, tol))
+
+
+def area_2d(poly: HPolytope) -> float:
+    """Polygon area by the shoelace formula over :func:`vertices_2d`."""
+    return polygon_area(vertices_2d(poly))
 
 
 def write_vertices_csv(path: str, vertices: np.ndarray,

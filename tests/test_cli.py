@@ -156,15 +156,26 @@ def _config_hash(runner, out_dir, *global_opts):
     return report["meta"]["config_hash"]
 
 
-def test_config_hash_covers_tolerances(runner, tmp_path, monkeypatch):
-    # --feas-tol changes the LP backend's options for the whole process;
-    # keep the change inside this test.
-    monkeypatch.setattr(lp, "_BACKEND_OPTIONS", {})
+def test_config_hash_covers_tolerances(runner, tmp_path):
     first = _config_hash(runner, tmp_path / "a", "--feas-tol", "1e-8")
     assert _config_hash(runner, tmp_path / "b", "--feas-tol", "1e-8") == first
     assert _config_hash(runner, tmp_path / "c", "--feas-tol", "1e-3") != first
     assert _config_hash(runner, tmp_path / "d",
                         "--contain-tol", "1e-5") != first
+
+
+def test_feas_tol_stays_inside_one_invocation(runner, tmp_path):
+    _config_hash(runner, tmp_path, "--feas-tol", "1e-3")
+    assert lp._BACKEND_OPTIONS == {}
+
+
+def test_maxdev_unknown_reserve_unit_exits_2(runner, tmp_path):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "maxdev", "--case", _toy(),
+        "--reserve-units", "NOPE"])
+    assert result.exit_code == 2
+    assert "NOPE" in result.output
+    assert not (tmp_path / "max_deviations.csv").exists()
 
 
 def test_maxdev_csv(runner, tmp_path):
