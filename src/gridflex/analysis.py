@@ -36,9 +36,8 @@ from .errors import (CaseError, GridflexError, InfeasibleSetError,
 from .lp import maximize
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
-from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
-                       bounding_box, contains, hull_2d, polygon_area, project,
-                       vertices)
+from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope, contains,
+                       hull_2d, polygon_area, project, vertices)
 from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
                           compute_dc_flows, compute_ggdf, compute_lodf,
                           compute_ptdf)
@@ -206,6 +205,13 @@ class ExternalPolytope:
     def labels(self) -> tuple[str, ...]:
         return self.poly.labels
 
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Vertices of the set, enumerated once and read-only; raises if unbounded."""
+        verts = vertices(self.poly)
+        verts.flags.writeable = False
+        return verts
+
     def to_json_dict(self) -> dict:
         record = {"meta": dict(self.provenance)}
         record.update(self.poly.to_json_dict())
@@ -220,19 +226,19 @@ def export_polytope(flex_set: HPolytope, view: AreaView,
 
     Passive sets are already external and only get minimized.  The
     result is checked to contain the origin and to be bounded, which
-    every well-formed flexibility set is (tie capacities bound it).
+    every well-formed flexibility set is (tie capacities bound it); the
+    vertex enumeration that checks the latter is kept on the result.
     """
     keep = view.external_labels
     projected = project(flex_set, keep, tol=tol, row_cap=row_cap)
     if np.any(projected.b < -_ORIGIN_TOL):
         raise InfeasibleSetError("projected set does not contain the origin")
-    lo, hi = bounding_box(projected)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise UnboundedSetError("projected tie-deviation set is unbounded")
     provenance = {"case_hash": view.case.case_hash()}
     if spec is not None:
         provenance["spec"] = spec.describe()
-    return ExternalPolytope(poly=projected, provenance=provenance)
+    fe = ExternalPolytope(poly=projected, provenance=provenance)
+    fe.vertices  # raises UnboundedSetError for an unbounded set
+    return fe
 
 
 def external_polytope(case: NetworkCase, spec: FlexibilitySpec,
@@ -270,7 +276,7 @@ def exported_flexibility(fe: ExternalPolytope) -> ExportedFlexibilityReport:
     labels = fe.labels
     if len(labels) < 1:
         raise GridflexError("external polytope has no tie dimensions")
-    verts = vertices(fe.poly)
+    verts = fe.vertices
     pairs = tuple((labels[i], labels[j], polygon_area(hull_2d(verts[:, [i, j]])))
                   for i, j in itertools.combinations(range(len(labels)), 2))
     total = float(np.ptp(verts)) if len(labels) == 1 else 0.0

@@ -290,7 +290,12 @@ def plotdata(ctx, **opts):
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])
     labels = fe.labels
-    verts = vertices(fe.poly)
+    verts = fe.vertices
+    if len(labels) >= 3:
+        for k, (lo, hi) in enumerate(zip(verts.min(axis=0), verts.max(axis=0))):
+            if not lo <= slice_at <= hi:
+                raise CaseError(f"--slice-at {slice_at:g} lies outside the range "
+                                f"[{lo:g}, {hi:g}] of {labels[k]}")
     for (i, x), (j, y) in itertools.combinations(enumerate(labels), 2):
         path = _out_path(ctx, f"proj_{_sanitize(x)}__{_sanitize(y)}.csv")
         write_vertices_csv(path, hull_2d(verts[:, [i, j]]), header=f"{x},{y}",

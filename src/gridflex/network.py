@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import CaseError
 
@@ -42,8 +44,8 @@ class Bus:
 class TransmissionLine:
     """Branch with a symmetric thermal limit.
 
-    ``is_tie`` is derived at load time: true iff the endpoint areas
-    differ.
+    ``is_tie`` is derived at load time, not read from the file: true
+    iff the endpoint areas differ.
     """
 
     id: str
@@ -51,7 +53,7 @@ class TransmissionLine:
     to_bus: int
     reactance_pu: float
     flow_limit_pu: float
-    is_tie: bool = False
+    is_tie: bool = field(default=False, metadata={"derived": True})
 
 
 @dataclass(frozen=True)
@@ -125,26 +127,10 @@ class NetworkCase:
             "areas": list(self.areas),
             "reference_bus": self.reference_bus,
             "atc": atc,
-            "buses": [
-                {"id": b.id, "area_id": b.area_id, "load_pu": b.load_pu}
-                for b in sorted(self.buses, key=lambda b: b.id)
-            ],
-            "lines": [
-                {
-                    "id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
-                    "reactance_pu": ln.reactance_pu,
-                    "flow_limit_pu": ln.flow_limit_pu,
-                }
-                for ln in sorted(self.lines, key=_line_key)
-            ],
-            "generators": [
-                {
-                    "id": g.id, "bus": g.bus, "p_sched_pu": g.p_sched_pu,
-                    "p_min_pu": g.p_min_pu, "p_max_pu": g.p_max_pu,
-                    "res_up_pu": g.res_up_pu, "res_dn_pu": g.res_dn_pu,
-                }
-                for g in sorted(self.generators, key=lambda g: (g.bus, g.id))
-            ],
+            "buses": [_record_dict(b) for b in sorted(self.buses, key=lambda b: b.id)],
+            "lines": [_record_dict(ln) for ln in sorted(self.lines, key=_line_key)],
+            "generators": [_record_dict(g) for g in
+                           sorted(self.generators, key=lambda g: (g.bus, g.id))],
         }
 
     def case_hash(self) -> str:
@@ -219,72 +205,90 @@ class AreaView:
         return self.case.area_generators(self.area)
 
 
-def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
-    """Build and validate a :class:`NetworkCase` from parsed JSON."""
-    for key in ("buses", "lines", "generators", "areas", "reference_bus"):
-        if key not in raw:
-            raise CaseError(f"missing top-level key '{key}'")
-    areas = list(raw["areas"])
-    if len(areas) != 2 or areas[0] == areas[1]:
-        raise CaseError("'areas' must list exactly two distinct area ids")
+# Field type -> (conversion, the JSON types it accepts); never a bool.
+_KINDS = {"int": (int, (int, float)), "float": (float, (int, float)),
+          "str": (str, (str,)), "list": (list, (list,)), "dict": (dict, (dict,))}
 
-    buses = tuple(
-        Bus(
-            id=_field(b, "id", int, f"bus #{i}"),
-            area_id=str(_field(b, "area_id", str, f"bus #{i}")),
-            load_pu=_field(b, "load_pu", float, f"bus #{i}"),
-        )
-        for i, b in enumerate(raw["buses"])
-    )
+
+def _convert(value, kind: str, context: str, key: str):
+    """``value`` as a field of type ``kind``: numbers must be finite, and
+    an ``int`` field takes no fractional part."""
+    cast, accepts = _KINDS[kind]
+    try:
+        if isinstance(value, bool) or not isinstance(value, accepts):
+            raise TypeError
+        out = cast(value)
+        if cast in (int, float) and not (math.isfinite(out) and out == value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise CaseError(f"{context}: key '{key}' is not a valid {kind} "
+                        f"({reprlib.repr(value)})") from None
+    return out
+
+
+def _read(raw, schema, context: str) -> dict:
+    """Checked values of the ``(key, type, default)`` entries of ``schema``
+    from one JSON object; a key that is absent or null takes its default."""
+    if not isinstance(raw, dict):
+        raise CaseError(f"{context}: not a JSON object")
+    out = {}
+    for key, kind, default in schema:
+        if raw.get(key) is not None:
+            out[key] = _convert(raw[key], kind, context, key)
+        elif default is MISSING:
+            raise CaseError(f"{context}: missing key '{key}'")
+        else:
+            out[key] = default
+    return out
+
+
+# The file schema of each record: every field that is not derived.
+_SCHEMA = {cls: tuple((f.name, f.type, f.default) for f in fields(cls)
+                      if not f.metadata.get("derived"))
+           for cls in (Bus, TransmissionLine, Generator)}
+_CASE_SCHEMA = (("areas", "list", MISSING), ("reference_bus", "int", MISSING),
+                ("mva_base", "float", 100.0), ("atc", "dict", {}),
+                ("buses", "list", MISSING), ("lines", "list", MISSING),
+                ("generators", "list", MISSING))
+
+
+def _record_dict(record) -> dict:
+    return {key: getattr(record, key) for key, _, _ in _SCHEMA[type(record)]}
+
+
+def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
+    """Build and validate a :class:`NetworkCase` from parsed JSON against
+    the record dataclasses; top-level errors are reported under ``name``."""
+    top = _read(raw, (("name", "str", name),) + _CASE_SCHEMA, name)
+    areas = top["areas"]
+    if not (len(areas) == 2 and all(isinstance(a, str) for a in areas)
+            and areas[0] != areas[1]):
+        raise CaseError("'areas' must list exactly two distinct area ids")
+    atc = _read(top["atc"], (("a_to_b_pu", "float", None),
+                             ("b_to_a_pu", "float", None)), "atc")
+    bus_kw, line_kw, gen_kw = (
+        [_read(r, _SCHEMA[cls], f"{noun} #{i}") for i, r in enumerate(top[key])]
+        for key, cls, noun in (("buses", Bus, "bus"),
+                               ("lines", TransmissionLine, "line"),
+                               ("generators", Generator, "generator")))
+    buses = tuple(Bus(**kw) for kw in bus_kw)
     bus_area = {b.id: b.area_id for b in buses}
-    lines = []
-    for i, ln in enumerate(raw["lines"]):
-        ctx = f"line #{i}"
-        fb = _field(ln, "from_bus", int, ctx)
-        tb = _field(ln, "to_bus", int, ctx)
-        lines.append(TransmissionLine(
-            id=str(_field(ln, "id", str, ctx)),
-            from_bus=fb,
-            to_bus=tb,
-            reactance_pu=_field(ln, "reactance_pu", float, ctx),
-            flow_limit_pu=_field(ln, "flow_limit_pu", float, ctx),
-            is_tie=bus_area.get(fb) != bus_area.get(tb),
-        ))
-    generators = tuple(
-        Generator(
-            id=str(_field(g, "id", str, f"generator #{i}")),
-            bus=_field(g, "bus", int, f"generator #{i}"),
-            p_sched_pu=_field(g, "p_sched_pu", float, f"generator #{i}"),
-            p_min_pu=_field(g, "p_min_pu", float, f"generator #{i}"),
-            p_max_pu=_field(g, "p_max_pu", float, f"generator #{i}"),
-            res_up_pu=float(g.get("res_up_pu", 0.0)),
-            res_dn_pu=float(g.get("res_dn_pu", 0.0)),
-        )
-        for i, g in enumerate(raw["generators"])
-    )
-    atc = raw.get("atc") or {}
+    lines = tuple(TransmissionLine(**kw, is_tie=bus_area.get(kw["from_bus"])
+                                   != bus_area.get(kw["to_bus"]))
+                  for kw in line_kw)
     case = NetworkCase(
-        name=str(raw.get("name", name)),
+        name=top["name"],
         buses=buses,
-        lines=tuple(lines),
-        generators=generators,
+        lines=lines,
+        generators=tuple(Generator(**kw) for kw in gen_kw),
         areas=(areas[0], areas[1]),
-        reference_bus=int(raw["reference_bus"]),
-        mva_base=float(raw.get("mva_base", 100.0)),
-        atc_a_to_b_pu=None if atc.get("a_to_b_pu") is None else float(atc["a_to_b_pu"]),
-        atc_b_to_a_pu=None if atc.get("b_to_a_pu") is None else float(atc["b_to_a_pu"]),
+        reference_bus=top["reference_bus"],
+        mva_base=top["mva_base"],
+        atc_a_to_b_pu=atc["a_to_b_pu"],
+        atc_b_to_a_pu=atc["b_to_a_pu"],
     )
     validate_case(case)
     return case
-
-
-def _field(record: dict, key: str, kind, context: str):
-    if not isinstance(record, dict) or key not in record:
-        raise CaseError(f"{context}: missing key '{key}'")
-    try:
-        return kind(record[key])
-    except (TypeError, ValueError):
-        raise CaseError(f"{context}: key '{key}' is not a valid {kind.__name__}")
 
 
 def load_case(path: str) -> NetworkCase:
@@ -300,8 +304,6 @@ def load_case(path: str) -> NetworkCase:
         raise CaseError(f"case file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CaseError(f"case file is not valid JSON: {path} ({exc})")
-    if not isinstance(raw, dict):
-        raise CaseError(f"case file must contain a JSON object: {path}")
     return case_from_dict(raw, name=str(path))
 
 
@@ -410,8 +412,9 @@ def scale_load(case: NetworkCase, factor: float) -> NetworkCase:
 
     All generator setpoints are scaled by the ratio of total scaled
     load to total original generation, keeping the relative dispatch
-    pattern.  The result is re-validated; a setpoint pushed outside a
-    generator bound raises :class:`CaseError` naming the unit.
+    pattern.  The result is re-validated, so a setpoint pushed outside
+    a generator bound or reserve band raises :class:`CaseError` naming
+    the unit.
     """
     if factor <= 0:
         raise CaseError(f"load scale factor must be positive, got {factor}")
@@ -420,18 +423,9 @@ def scale_load(case: NetworkCase, factor: float) -> NetworkCase:
         raise CaseError("cannot rebalance a case with zero total generation")
     ratio = factor * case.total_load() / total_gen
     buses = tuple(replace(b, load_pu=b.load_pu * factor) for b in case.buses)
-    gens = []
-    for g in case.generators:
-        sched = g.p_sched_pu * ratio
-        if not (g.p_min_pu - _BOUND_TOL <= sched <= g.p_max_pu + _BOUND_TOL):
-            raise CaseError(
-                f"rebalanced setpoint {sched:.4f} pu leaves [p_min, p_max]", g.id)
-        if sched + g.res_up_pu > g.p_max_pu + _BOUND_TOL:
-            raise CaseError("rebalanced setpoint breaks upward reserve band", g.id)
-        if sched - g.res_dn_pu < g.p_min_pu - _BOUND_TOL:
-            raise CaseError("rebalanced setpoint breaks downward reserve band", g.id)
-        gens.append(replace(g, p_sched_pu=sched))
-    scaled = replace(case, buses=buses, generators=tuple(gens))
+    gens = tuple(replace(g, p_sched_pu=g.p_sched_pu * ratio)
+                 for g in case.generators)
+    scaled = replace(case, buses=buses, generators=gens)
     validate_case(scaled)
     return scaled
 

@@ -105,7 +105,7 @@ def _empty(labels) -> HPolytope:
     return HPolytope(np.zeros((1, d)), np.array([-1.0]), tuple(labels))
 
 
-def normalize_rows(poly: HPolytope, merge: bool = True) -> HPolytope:
+def normalize_rows(poly: HPolytope) -> HPolytope:
     """Scale every row to unit norm; drop vacuous rows; merge duplicates.
 
     Zero rows with nonnegative offsets hold everywhere and disappear; a
@@ -123,8 +123,6 @@ def normalize_rows(poly: HPolytope, merge: bool = True) -> HPolytope:
         return HPolytope(a.reshape(0, poly.dim), b, poly.labels)
     a = a / norms[:, None]
     b = b / norms
-    if not merge:
-        return HPolytope(a, b, poly.labels)
     key = np.round(a, _DUP_DECIMALS)
     order = np.lexsort(key.T[::-1])
     best: dict[bytes, int] = {}

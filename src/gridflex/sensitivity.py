@@ -100,10 +100,6 @@ class PtdfMatrix:
         col[: self.n_internal_lines] = self.nodal[:, self.bus_index[bus]]
         return col
 
-    def row(self, line_id: str) -> np.ndarray:
-        k = self.line_ids.index(line_id)
-        return np.concatenate([self.h_i[k], self.h_e[k]])
-
 
 def compute_ptdf(view: AreaView) -> PtdfMatrix:
     """Build the deviation PTDF of the study area.

@@ -84,6 +84,31 @@ def test_export_checks_origin_and_boundedness(toy_case):
     assert fe.provenance["spec"] == spec.describe()
 
 
+def test_export_and_metric_share_one_boundedness_check(toy_case, monkeypatch):
+    """Past the projection, the export and the metric together run the
+    ``2 * dim`` support LPs of one vertex enumeration."""
+    from gridflex import analysis, polytope
+
+    calls = []
+    solve, project = polytope.maximize, analysis.project
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def projected(*args, **kwargs):
+        result = project(*args, **kwargs)
+        calls.clear()
+        return result
+
+    monkeypatch.setattr(polytope, "maximize", counted)
+    monkeypatch.setattr(analysis, "project", projected)
+    fe = external_polytope(toy_case, FlexibilitySpec("active", "n"))
+    report = exported_flexibility(fe)
+    assert report.total == pytest.approx(3.0, abs=1e-9)
+    assert len(calls) == 2 * len(fe.labels)
+
+
 def test_exported_flexibility_cube():
     cube = HPolytope(
         np.vstack([np.eye(3), -np.eye(3)]), np.ones(6),

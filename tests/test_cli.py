@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridflex import HPolytope, lp
+from gridflex import (CaseError, FlexibilitySpec, HPolytope, ReserveConfig,
+                      case_from_dict, external_polytope, lp)
 from gridflex.cli import main
 
 from conftest import data_path
@@ -208,3 +209,80 @@ def test_out_dir_env_override(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["metrics", "--case", _toy()])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "env_out" / "exported_flexibility.json").exists()
+
+
+def _set(path, value):
+    """Case mutator: ``path`` is a key chain into the toy case JSON."""
+    def mutate(raw):
+        *head, last = path
+        target = raw
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, record, key", [
+    (_set(("generators", 0, "res_up_pu"), "lots"), "generator #0", "res_up_pu"),
+    (_set(("atc", "a_to_b_pu"), "high"), "atc", "a_to_b_pu"),
+    (_set(("reference_bus",), "one"), "case", "reference_bus"),
+    (_set(("mva_base",), "100 MVA"), "case", "mva_base"),
+    (_set(("areas",), 2), "case", "areas"),
+    (_set(("atc",), [0.5, 0.5]), "case", "atc"),
+    (lambda raw: raw.update(buses={str(b["id"]): b for b in raw["buses"]}),
+     "case", "buses"),
+    (_set(("buses", 0, "id"), 1.7), "bus #0", "id"),
+], ids=["str-res-up", "str-atc", "str-reference-bus", "str-mva-base",
+        "int-areas", "list-atc", "object-buses", "fractional-bus-id"])
+def test_malformed_case_file_exits_2(runner, tmp_path, mutate, record, key):
+    raw = json.loads(open(_toy()).read())
+    mutate(raw)
+    with pytest.raises(CaseError, match=rf"^{record}: key '{key}' "):
+        case_from_dict(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = runner.invoke(main, ["validate", "--case", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    context = str(bad) if record == "case" else record
+    assert f"error: {context}: key '{key}' " in result.output
+    assert "Traceback" not in result.output
+
+
+def _rts():
+    return data_path("rts96_2area.json")
+
+
+def test_plotdata_cuts_of_three_tie_set(runner, tmp_path, rts_case):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "plotdata", "--case", _rts(),
+        "--reserves", "full", "--security", "n", "--slice-at", "0.1"])
+    assert result.exit_code == 0, result.output
+    fe = external_polytope(rts_case, FlexibilitySpec(
+        "active", "n", ReserveConfig(mode="full")))
+    labels = fe.labels
+    assert len(labels) == 3
+    for k, fixed in enumerate(labels):
+        lines = (tmp_path / f"cut_{fixed.replace(':', '_')}.csv").read_text()
+        meta = [l for l in lines.splitlines() if l.startswith("#")]
+        rows = [l for l in lines.splitlines() if not l.startswith("#")]
+        assert "# kind=cut" in meta and f"# fixed={fixed}" in meta
+        assert "# value=0.1" in meta
+        others = labels[:k] + labels[k + 1:]
+        assert rows[0] == ",".join(others)
+        cut = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        assert len(cut) >= 3
+        points = np.insert(cut, k, 0.1, axis=1)
+        assert fe.poly.contains_points(points, tol=1e-7).all()
+
+
+def test_plotdata_slice_outside_a_tie_range_exits_2(runner, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "plotdata", "--case", _rts(),
+        "--reserves", "full", "--security", "n", "--slice-at", "5"])
+    assert result.exit_code == 2, result.output
+    assert "error: --slice-at 5 lies outside the range" in result.output
+    assert "tie:" in result.output
+    assert list(out.iterdir()) == []

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +187,13 @@ def test_case_hash_changes_with_content(triangle_tie_case):
     assert triangle_tie_case.case_hash() != scaled.case_hash()
     assert triangle_tie_case.case_hash() == \
         case_from_dict(triangle_tie_dict()).case_hash()
+
+
+def test_bundled_rts96_case_matches_its_generator():
+    """The shipped RTS-96 file is exactly what its build tool writes."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "build_rts96_case.py"
+    spec = importlib.util.spec_from_file_location("build_rts96_case", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text = json.dumps(module.build_case(), indent=1, sort_keys=True) + "\n"
+    assert text.encode() == Path(data_path("rts96_2area.json")).read_bytes()
