@@ -23,6 +23,7 @@ version that adds one row band per generator and line outage.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -36,8 +37,8 @@ from .errors import (CaseError, GridflexError, InfeasibleSetError,
 from .lp import maximize
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
-from .polytope import (DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope, contains,
-                       hull_2d, polygon_area, project, vertices)
+from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
+                       contains, hull_2d, polygon_area, project, vertices)
 from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
                           compute_dc_flows, compute_ggdf, compute_lodf,
                           compute_ptdf)
@@ -295,8 +296,9 @@ def build_atc_polytope(view: AreaView, limits: DeltaLimits,
     no role here, which is exactly what makes the comparison with the
     projected sets interesting.
     """
-    if atc_ab < 0 or atc_ba < 0:
-        raise GridflexError("transfer capacities must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in (atc_ab, atc_ba)):
+        raise CaseError(f"transfer capacities must be finite and nonnegative, "
+                        f"got {atc_ab:g} and {atc_ba:g}")
     n_e = len(limits.tie_ids)
     labels = tuple(f"tie:{t}" for t in limits.tie_ids)
     ones = np.ones((1, n_e))
@@ -346,7 +348,7 @@ class UtilizationComparison:
 
 
 def compare_utilization(active_fe: ExternalPolytope, atc_fe: ExternalPolytope,
-                        tol: float = 1e-6) -> UtilizationComparison:
+                        tol: float = CONTAIN_TOL) -> UtilizationComparison:
     """Compare tie usage allowed by the active set against the ATC box.
 
     A witness in one difference set is a tie deviation combination that
@@ -483,6 +485,9 @@ _DEVIATION_MODES = ("passive", "active", "atc")
 
 
 def _check_modes(modes) -> None:
+    if not modes:
+        raise CaseError("no deviation mode given; valid modes are "
+                        f"{', '.join(_DEVIATION_MODES)}")
     bad = [m for m in modes if m not in _DEVIATION_MODES]
     if bad:
         raise CaseError(f"unknown deviation mode '{bad[0]}'; valid modes "
@@ -548,7 +553,8 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
                            atc_ab: float | None = None,
                            atc_ba: float | None = None,
                            include_neighbor_security: bool = False,
-                           tol: float = REDUNDANCY_TOL) -> NodalDeviationReport:
+                           tol: float = REDUNDANCY_TOL,
+                           row_cap: int = DEFAULT_ROW_CAP) -> NodalDeviationReport:
     """Deviation bounds for every neighbor bus under the chosen modes.
 
     The exporter's communicated sets are built once: the passive and
@@ -557,6 +563,10 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
     from the case ATC values unless overridden.
     """
     _check_modes(modes)
+    neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
+    model = _NeighborModel(
+        Study.build(case, neighbor_reserves, case.neighbor_area),
+        include_security=include_neighbor_security)
     if exporter_reserves is None:
         exporter_reserves = ReserveConfig(mode="full")
     exporter = Study.build(case, exporter_reserves)
@@ -566,12 +576,9 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
     for approach in ("passive", "active"):
         if approach in modes:
             imported[approach] = exporter.export(
-                FlexibilitySpec(approach, security, exporter_reserves), tol=tol)
+                FlexibilitySpec(approach, security, exporter_reserves),
+                tol=tol, row_cap=row_cap)
 
-    neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
-    model = _NeighborModel(
-        Study.build(case, neighbor_reserves, case.neighbor_area),
-        include_security=include_neighbor_security)
     bounds = {mode: model.solve(mode, imported[mode], model.buses)
               for mode in modes}
     rows = [(b, mode, *bounds[mode][k])

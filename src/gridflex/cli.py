@@ -11,6 +11,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,8 @@ from .analysis import (FlexibilitySpec, Study,
                        polytope_from_block)
 from .errors import CaseError, GridflexError
 from .network import ReserveConfig, load_case, partition, scale_load
-from .polytope import HPolytope, hull_2d, vertices, write_vertices_csv
+from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
+                       hull_2d, vertices, write_vertices_csv)
 from .sensitivity import compute_dc_flows
 
 _EXIT_COMPUTE = 1
@@ -41,6 +43,12 @@ def _split(text: str | None) -> tuple[str, ...] | None:
 
 def _sanitize(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-." else "_" for c in label)
+
+
+def _finite_positive(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and positive, got {value}")
+    return value
 
 
 def _guard(fn):
@@ -97,26 +105,22 @@ def spec_options(fn):
 @click.option("--out-dir", default=None, envvar="GRIDFLEX_OUT_DIR",
               show_default="current directory",
               help="Directory for output artifacts (env: GRIDFLEX_OUT_DIR).")
-@click.option("--feas-tol", default=1e-8, show_default=True,
+@click.option("--feas-tol", default=lp.FEASIBILITY_TOL, show_default=True,
+              callback=_finite_positive,
               help="LP feasibility tolerance for this command; the default "
                    "leaves HiGHS at its own 1e-7.")
-@click.option("--redund-tol", default=1e-7, show_default=True,
-              help="Redundancy-removal tolerance.")
-@click.option("--contain-tol", default=1e-6, show_default=True,
-              help="Containment check tolerance.")
-@click.option("--row-cap", default=200_000, show_default=True,
+@click.option("--redund-tol", default=REDUNDANCY_TOL, show_default=True,
+              callback=_finite_positive, help="Redundancy-removal tolerance.")
+@click.option("--contain-tol", default=CONTAIN_TOL, show_default=True,
+              callback=_finite_positive, help="Containment check tolerance.")
+@click.option("--row-cap", default=DEFAULT_ROW_CAP, show_default=True,
+              type=click.IntRange(min=1),
               help="Abort threshold for intermediate projection rows.")
 @click.pass_context
 def main(ctx, out_dir, feas_tol, redund_tol, contain_tol, row_cap):
     """Flexibility polytopes for two-area DC power systems."""
-    for name, value in (("feas-tol", feas_tol), ("redund-tol", redund_tol),
-                        ("contain-tol", contain_tol)):
-        if value <= 0:
-            raise click.UsageError(f"--{name} must be positive")
-    if feas_tol != 1e-8:
-        ctx.call_on_close(functools.partial(
-            setattr, lp, "_BACKEND_OPTIONS", dict(lp._BACKEND_OPTIONS)))
-        lp.set_feasibility_tolerance(feas_tol)
+    if feas_tol != lp.FEASIBILITY_TOL:
+        ctx.with_resource(lp.feasibility_tolerance(feas_tol))
     ctx.obj = dict(ctx.params, out_dir=out_dir or ".")
 
 
@@ -267,7 +271,7 @@ def maxdev(ctx, **opts):
         security=opts["security"],
         atc_ab=opts["atc_ab"], atc_ba=opts["atc_ba"],
         include_neighbor_security=opts["neighbor_security"],
-        tol=ctx.obj["redund_tol"])
+        tol=ctx.obj["redund_tol"], row_cap=ctx.obj["row_cap"])
     path = _out_path(ctx, "max_deviations.csv")
     report.to_csv(path, meta=meta)
     click.echo(f"{'bus':>6}{'mode':>10}{'max up':>12}{'max dn':>12}")

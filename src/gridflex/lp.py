@@ -6,10 +6,16 @@ equalities and bounds for the deviation programs).  Any backend with
 that contract could be swapped in; the implementation wraps
 ``scipy.optimize.linprog`` (HiGHS), which is deterministic for fixed
 inputs.
+
+The backend runs with its own default options unless a
+:func:`feasibility_tolerance` block is open in the calling context.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +26,23 @@ from .errors import LPSolverError
 FEASIBILITY_TOL = 1e-8
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-_BACKEND_OPTIONS: dict = {}
+_OPTIONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "gridflex_lp_options", default=None)
 
 
-def set_feasibility_tolerance(tol: float) -> None:
-    """Tune the backend's primal/dual feasibility tolerances process-wide."""
-    if tol <= 0:
-        raise LPSolverError("feasibility tolerance must be positive")
-    _BACKEND_OPTIONS["primal_feasibility_tolerance"] = tol
-    _BACKEND_OPTIONS["dual_feasibility_tolerance"] = tol
+@contextlib.contextmanager
+def feasibility_tolerance(tol: float):
+    """Solve every LP inside the block with primal and dual feasibility
+    tolerance ``tol``; the previous setting returns when the block ends."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise LPSolverError(
+            f"feasibility tolerance must be finite and positive, got {tol}")
+    token = _OPTIONS.set({"primal_feasibility_tolerance": tol,
+                          "dual_feasibility_tolerance": tol})
+    try:
+        yield
+    finally:
+        _OPTIONS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -58,7 +72,7 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
     res = linprog(-c, A_ub=a_ub if a_ub.size else None,
                   b_ub=b_ub if a_ub.size else None,
                   A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                  options=dict(_BACKEND_OPTIONS) or None)
+                  options=_OPTIONS.get())
     status = _STATUS.get(res.status)
     if status is None:
         raise LPSolverError(f"LP backend failed: {res.message}")

@@ -24,6 +24,7 @@ import json
 import math
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 
 from .errors import CaseError
 
@@ -134,6 +135,11 @@ class NetworkCase:
         }
 
     def case_hash(self) -> str:
+        return self._case_hash
+
+    @cached_property
+    def _case_hash(self) -> str:
+        """Hash of the canonical form, computed once per case object."""
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -458,8 +464,10 @@ def configure_reserves(case: NetworkCase, config: ReserveConfig) -> NetworkCase:
     """Return a copy of ``case`` with reserve bands set per ``config``."""
     if config.mode not in ("file", "full", "fraction"):
         raise CaseError(f"unknown reserve mode '{config.mode}'")
-    if config.mode == "fraction" and config.fraction < 0:
-        raise CaseError("reserve fraction must be nonnegative")
+    if config.mode == "fraction" and not (math.isfinite(config.fraction)
+                                          and config.fraction >= 0):
+        raise CaseError("reserve fraction must be finite and nonnegative, "
+                        f"got {config.fraction:g}")
     allowed = None if config.units is None else set(config.units)
     if allowed is not None:
         known = {g.id for g in case.generators}

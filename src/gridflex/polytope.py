@@ -7,14 +7,13 @@ every step, which keeps the intermediate row counts near the minimal
 representation instead of letting them explode combinatorially.
 
 Equality constraints are always encoded as inequality pairs, so flat
-sets (Chebyshev radius zero) are first-class citizens throughout.
+sets (no interior) are first-class citizens throughout.
 Every 2-D shadow is the hull of two columns of :func:`vertices`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .lp import FEASIBILITY_TOL, maximize
 
 REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
+CONTAIN_TOL = 1e-6
 _ZERO_ROW_TOL = 1e-12
 _DUP_DECIMALS = 9
 _HULL_TOL = 1e-8
@@ -86,18 +86,6 @@ class HPolytope:
                    b=np.array(raw["b"], dtype=float),
                    labels=tuple(raw["labels"]))
 
-    def dump_json(self, path: str, meta: dict | None = None) -> None:
-        record = {} if meta is None else {"meta": meta}
-        record.update(self.to_json_dict())
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path: str) -> "HPolytope":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def _empty(labels) -> HPolytope:
     """Canonical empty polytope: the unsatisfiable row 0.x <= -1."""
@@ -137,37 +125,11 @@ def normalize_rows(poly: HPolytope) -> HPolytope:
     return HPolytope(a[keep], b[keep], poly.labels)
 
 
-def chebyshev_center(poly: HPolytope):
-    """Radius and center of a largest inscribed ball.
-
-    The radius is zero for flat but nonempty sets.  Returns
-    ``(None, None)`` when the set is empty.
-    """
-    p = normalize_rows(poly)
-    if p.nrows == 0:
-        return np.inf, np.zeros(p.dim)
-    a_aug = np.hstack([p.A, np.ones((p.nrows, 1))])
-    c = np.zeros(p.dim + 1)
-    c[-1] = 1.0
-    bounds = [(None, None)] * p.dim + [(0.0, None)]
-    res = maximize(c, a_aug, p.b, bounds=bounds)
-    if res.status == "infeasible":
-        return None, None
-    if res.status == "unbounded":
-        # Unbounded inscribed radius: cap it to recover a witness point.
-        bounds[-1] = (0.0, 1.0)
-        res = maximize(c, a_aug, p.b, bounds=bounds)
-        if not res.optimal:
-            return None, None
-    return float(res.x[-1]), res.x[:-1]
-
-
 def is_feasible(poly: HPolytope):
-    """Whether the set is nonempty, plus an interior-or-boundary witness."""
-    radius, center = chebyshev_center(poly)
-    if radius is None:
-        return False, None
-    return True, center
+    """Whether the set is nonempty, plus a point of it (``None`` when it
+    is empty), both from one zero-objective LP."""
+    res = maximize(np.zeros(poly.dim), poly.A, poly.b)
+    return res.optimal, res.x
 
 
 def _bounds_from_rows(a: np.ndarray, b: np.ndarray):
@@ -334,7 +296,7 @@ class ContainmentResult:
 
 
 def contains(outer: HPolytope, inner: HPolytope,
-             tol: float = 1e-6) -> ContainmentResult:
+             tol: float = CONTAIN_TOL) -> ContainmentResult:
     """Whether ``inner`` is a subset of ``outer`` (both over the same labels).
 
     Each face of ``outer`` is pushed as far as ``inner`` allows; the

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridflex import (CaseError, FlexibilitySpec, HPolytope, ReserveConfig,
-                      case_from_dict, external_polytope, lp)
+from gridflex import (CaseError, FlexibilitySpec, HPolytope, NetworkCase,
+                      ReserveConfig, case_from_dict, external_polytope, lp)
 from gridflex.cli import main
 
 from conftest import data_path
@@ -166,8 +166,66 @@ def test_config_hash_covers_tolerances(runner, tmp_path):
 
 
 def test_feas_tol_stays_inside_one_invocation(runner, tmp_path):
+    # x <= -1e-5 and x >= 0 is feasible only within a loose tolerance.
+    def solve():
+        return lp.maximize([0.0], [[1.0]], [-1e-5], bounds=[(0.0, None)]).status
+
+    with lp.feasibility_tolerance(1e-3):
+        assert solve() == "optimal"
+    assert solve() == "infeasible"
     _config_hash(runner, tmp_path, "--feas-tol", "1e-3")
-    assert lp._BACKEND_OPTIONS == {}
+    assert solve() == "infeasible"
+
+
+def _assert_rejected(result, out_dir, error):
+    """Exit 2 with one error line starting with ``error``, no traceback and
+    nothing written."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [l for l in result.output.splitlines() if "error" in l.lower()]
+    assert len(errors) == 1 and errors[0].startswith(error), result.output
+    assert "Traceback" not in result.output
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value", [
+    *((opt, v) for opt in ("--feas-tol", "--redund-tol", "--contain-tol")
+      for v in ("nan", "inf", "0", "-1")),
+    ("--row-cap", "0"), ("--row-cap", "-1"),
+])
+def test_bad_global_option_exits_2(runner, tmp_path, option, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), option, value, "atc", "--case", _toy()])
+    _assert_rejected(result, out, f"Error: Invalid value for '{option}'")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["atc", "--atc-ab", "nan"], "transfer capacities must be finite"),
+    (["atc", "--atc-ab", "-1"], "transfer capacities must be finite"),
+    (["maxdev", "--atc-ab", "nan"], "transfer capacities must be finite"),
+    (["maxdev", "--reserve-pct", "nan"], "reserve fraction must be finite"),
+    (["metrics", "--reserves", "fraction", "--reserve-fraction", "nan"],
+     "reserve fraction must be finite"),
+    (["maxdev", "--modes", ","], "no deviation mode given"),
+], ids=["atc-nan", "atc-negative", "maxdev-atc-nan", "maxdev-reserve-nan",
+        "metrics-fraction-nan", "maxdev-no-modes"])
+def test_bad_command_number_exits_2(runner, tmp_path, args, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), *args, "--case", _toy()])
+    _assert_rejected(result, out, f"error: {message}")
+
+
+def test_maxdev_honours_row_cap(runner, tmp_path):
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "--row-cap", "3",
+        "maxdev", "--case", _toy()])
+    assert result.exit_code == 1
+    assert "cap 3" in result.output
+    assert not (tmp_path / "max_deviations.csv").exists()
 
 
 def test_maxdev_unknown_reserve_unit_exits_2(runner, tmp_path):
@@ -286,3 +344,16 @@ def test_plotdata_slice_outside_a_tie_range_exits_2(runner, tmp_path):
     assert "error: --slice-at 5 lies outside the range" in result.output
     assert "tie:" in result.output
     assert list(out.iterdir()) == []
+
+
+def test_maxdev_hashes_each_case_once(runner, tmp_path, monkeypatch):
+    # One hash for the loaded case and one for the exporter's
+    # reserve-configured copy.
+    calls = []
+    to_dict = NetworkCase.to_dict
+    monkeypatch.setattr(NetworkCase, "to_dict",
+                        lambda case: calls.append(case) or to_dict(case))
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "maxdev", "--case", _rts()])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
