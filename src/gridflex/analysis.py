@@ -34,7 +34,7 @@ from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outag
                           compute_delta_limits, stack_n1)
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
-from .lp import maximize
+from .lp import maximize, maximize_lazy
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
@@ -389,7 +389,7 @@ class _NeighborModel:
     the internal lines only (tie rows are dropped by their label), the
     tie columns are flipped into the exporter's convention, and with
     security the outage bands come from the exporter's assemblers with
-    the line outages pinned to internal lines.
+    the line outages pinned to internal lines.  LPs run on lazy working rows.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
@@ -420,6 +420,8 @@ class _NeighborModel:
         self.a_ub = np.hstack([a[:, n_b:ext.h_i.shape[1]], a[:, :n_b],
                                -a[:, ext.h_i.shape[1]:]])
         self.b_ub = np.concatenate(b_rows)
+        # Working rows of the lazy solves: nominal first, grown by each solve.
+        self.working = np.arange(len(self.b_ub)) < 2 * n_int
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
         """``(max_up, max_dn)`` of every bus in ``buses`` under ``mode``."""
@@ -459,16 +461,19 @@ class _NeighborModel:
                   + [(g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu)
                      for g in exporter_units])
 
+        # The imported facets are always working rows.
+        working = np.concatenate([self.working,
+                                  np.ones(imported.poly.nrows, dtype=bool)])
         rest = list(range(n_bus, a_ub.shape[1]))
         results = []
         for bus in buses:
-            a_bus = a_ub[:, [self.buses.index(bus)] + rest]
+            columns = [self.buses.index(bus)] + rest
             up_dn = []
             for sign in (1.0, -1.0):
                 c = np.zeros(n_var)
                 c[0] = sign
-                res = maximize(c, a_bus, b_ub, a_eq=a_eq, b_eq=b_eq,
-                               bounds=bounds)
+                res = maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds,
+                                    columns=columns, solve=maximize)
                 if res.status == "infeasible":
                     raise InfeasibleSetError(
                         f"deviation study infeasible at bus {bus} (mode {mode})")
@@ -478,6 +483,7 @@ class _NeighborModel:
                         "a bound is missing")
                 up_dn.append(float(sign * res.value))
             results.append(tuple(up_dn))
+        self.working = working[:len(self.b_ub)]
         return results
 
 

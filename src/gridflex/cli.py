@@ -35,10 +35,16 @@ _EXIT_COMPUTE = 1
 _EXIT_USAGE = 2
 
 
-def _split(text: str | None) -> tuple[str, ...] | None:
-    if not text:
-        return None
+def _split(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def _ids(opts: dict, key: str) -> tuple[str, ...] | None:
+    """Ids of a comma-separated option; ``None`` when it is not given."""
+    ids = None if opts[key] is None else _split(opts[key])
+    if ids == ():
+        raise CaseError(f"--{key.replace('_', '-')} names no id; omit it instead")
+    return ids
 
 
 def _sanitize(label: str) -> str:
@@ -139,15 +145,15 @@ def _setup(ctx, opts: dict):
         case = scale_load(case, scale)
     reserves = ReserveConfig(mode=opts["reserve_mode"],
                              fraction=opts["reserve_fraction"],
-                             units=_split(opts["reserve_units"]))
+                             units=_ids(opts, "reserve_units"))
     spec = None
     if "approach" in opts:
         spec = FlexibilitySpec(
             approach=opts["approach"],
             security=opts["security"],
             reserves=reserves,
-            gen_outages=_split(opts["gen_outages"]),
-            line_outages=_split(opts["line_outages"]),
+            gen_outages=_ids(opts, "gen_outages"),
+            line_outages=_ids(opts, "line_outages"),
             strict_line_outages=opts["strict_line_outages"],
         )
     config = {k: v for k, v in {**ctx.obj, **opts}.items()
@@ -267,7 +273,7 @@ def maxdev(ctx, **opts):
                 else ReserveConfig(mode="full", units=reserves.units))
     report = nodal_deviation_report(
         case, reserve_fraction=opts["reserve_pct"],
-        modes=_split(opts["modes"]) or (), exporter_reserves=exporter,
+        modes=_split(opts["modes"]), exporter_reserves=exporter,
         security=opts["security"],
         atc_ab=opts["atc_ab"], atc_ba=opts["atc_ba"],
         include_neighbor_security=opts["neighbor_security"],

@@ -24,6 +24,7 @@ from scipy.optimize import linprog
 from .errors import LPSolverError
 
 FEASIBILITY_TOL = 1e-8
+_LAZY_BATCH, _LAZY_TOL = 20, 1e-9  # rows added per round; violation threshold
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 _OPTIONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -83,3 +84,30 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
     return LPResult(status="optimal", x=np.asarray(res.x), value=float(-res.fun))
+
+
+def maximize_lazy(c, a_ub, b_ub, working, a_eq=None, b_eq=None, bounds=None,
+                  columns=None, solve=None) -> LPResult:
+    """``solve`` (default :func:`maximize`) on the rows the boolean mask
+    ``working`` selects, adding the worst full-stack rows the optimum violates
+    until it violates none (Kelley's cutting planes); ``working`` grows in
+    place.  ``columns`` picks the columns of ``a_ub`` the variables use.
+    "Infeasible" on the working rows is final; "unbounded" falls back to one
+    solve on the full stack."""
+    solve = solve or maximize
+    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    cols = slice(None) if columns is None else columns
+    while True:
+        res = solve(c, a_ub[working][:, cols], b_ub[working], a_eq, b_eq, bounds)
+        if res.status == "unbounded" and not working.all():
+            return solve(c, a_ub[:, cols], b_ub, a_eq, b_eq, bounds)
+        if not res.optimal:
+            return res
+        x = np.zeros(a_ub.shape[1])
+        x[cols] = res.x
+        excess = np.where(working, -np.inf, a_ub @ x - b_ub)
+        violated = np.flatnonzero(excess > _LAZY_TOL)
+        if not violated.size:
+            return res
+        worst = np.argsort(-excess[violated], kind="stable")[:_LAZY_BATCH]
+        working[violated[worst]] = True

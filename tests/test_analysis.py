@@ -8,8 +8,9 @@ from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       compute_delta_limits, contains, export_polytope,
                       exported_flexibility, external_polytope, is_feasible,
                       max_nodal_deviation, nodal_deviation_report,
-                      prepare, remove_redundant, vertices_2d)
-from gridflex.analysis import ExternalPolytope
+                      partition, prepare, remove_redundant, vertices_2d)
+from gridflex import analysis, lp
+from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
 from conftest import triangle_tie_dict
 from gridflex import case_from_dict
@@ -342,3 +343,78 @@ def test_report_csv_output(tmp_path, toy_case):
     header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_at] == "bus,mode,max_up_pu,max_dn_pu"
     assert len(lines) == header_at + 1 + 2  # one bus, two modes
+
+
+@pytest.fixture(scope="module")
+def rts_imported(rts_case):
+    """The exporter's communicated sets on RTS-96 (full reserves, ``n``)."""
+    exporter = Study.build(rts_case, ReserveConfig(mode="full"))
+    imported = {approach: exporter.export(FlexibilitySpec(
+        approach, "n", ReserveConfig(mode="full")))
+        for approach in ("passive", "active")}
+    imported["atc"] = exporter.atc_polytope()
+    return imported
+
+
+@pytest.mark.parametrize("fraction", [0.02, 0.1, 0.3])
+def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
+                                                 fraction, monkeypatch):
+    """Every lazily solved neighbor LP equals one solve on the model's full
+    row stack plus the imported facets."""
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=fraction),
+                        rts_case.neighbor_area)
+    model = _NeighborModel(study, include_security=True)
+    n_own, n_cols = model.a_ub.shape
+    checked = []
+
+    def lazy_then_full(c, a_ub, b_ub, working, a_eq, b_eq, bounds, columns,
+                       solve):
+        res = lp.maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds,
+                               columns=columns, solve=solve)
+        facets = imported.poly
+        n_a = a_ub.shape[1] - n_cols
+        full_a = np.vstack([
+            np.hstack([model.a_ub, np.zeros((n_own, n_a))]),
+            np.hstack([np.zeros((facets.nrows, n_cols - facets.A.shape[1])),
+                       facets.A, np.zeros((facets.nrows, n_a))])])
+        full_b = np.concatenate([model.b_ub, facets.b])
+        full = lp.maximize(c, full_a[:, columns], full_b, a_eq, b_eq, bounds)
+        assert res.optimal and full.optimal
+        assert abs(res.value - full.value) <= 1e-9
+        checked.append(working.sum())
+        return res
+
+    monkeypatch.setattr(analysis, "maximize_lazy", lazy_then_full)
+    for mode, imported in rts_imported.items():
+        model.solve(mode, imported, model.buses)
+    assert len(checked) == 2 * 3 * len(model.buses)
+    assert max(checked) < n_own
+
+
+def _neighbor_lp_rows(case, monkeypatch, include_security):
+    rows = []
+
+    def counted(c, a_ub, b_ub, *args, **kwargs):
+        rows.append(np.shape(a_ub)[0])
+        return lp.maximize(c, a_ub, b_ub, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "maximize", counted)
+    nodal_deviation_report(case, reserve_fraction=0.1,
+                           include_neighbor_security=include_security)
+    return rows
+
+
+def test_neighbor_security_lps_stay_small(rts_case, monkeypatch):
+    rows = _neighbor_lp_rows(rts_case, monkeypatch, True)
+    assert len(rows) >= 144
+    assert max(rows) <= 1000
+
+
+def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
+                                                     monkeypatch):
+    rows = _neighbor_lp_rows(rts_case, monkeypatch, False)
+    n_int = len(partition(rts_case, rts_case.neighbor_area).internal_lines)
+    expected = [2 * n_int + rts_imported[mode].poly.nrows
+                for mode in ("passive", "active", "atc")
+                for _ in range(24 * 2)]  # buses × directions
+    assert rows == expected

@@ -219,6 +219,18 @@ def test_bad_command_number_exits_2(runner, tmp_path, args, message):
     _assert_rejected(result, out, f"error: {message}")
 
 
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize("flag", ["--gen-outages", "--line-outages",
+                                  "--reserve-units"])
+def test_empty_id_list_exits_2(runner, tmp_path, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "build", "--case", _toy(), "--security", "n1",
+        flag, value])
+    _assert_rejected(result, out, f"error: {flag} names no id")
+
+
 def test_maxdev_honours_row_cap(runner, tmp_path):
     result = runner.invoke(main, [
         "--out-dir", str(tmp_path), "--row-cap", "3",
