@@ -39,9 +39,9 @@ from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
                        contains, hull_2d, polygon_area, project, vertices)
-from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
-                          compute_dc_flows, compute_ggdf, compute_lodf,
-                          compute_ptdf)
+from .sensitivity import (GgdfMatrix, LodfMatrix, NetworkShift, PtdfMatrix,
+                          ScheduledFlows, compute_dc_flows, compute_ggdf,
+                          compute_lodf, compute_ptdf, network_shift)
 
 _ORIGIN_TOL = 1e-9
 
@@ -87,7 +87,8 @@ class Study:
     ``case`` is the reserve-configured case and ``view`` its partition
     for the area; flows, margins and the PTDF follow from them.  The
     outage factors are computed on first use: ``ggdf`` covers every
-    unit of the area, ``lodf`` every line of the area.
+    unit of the area, ``lodf`` every line of the area.  The flows and
+    the ``lodf`` share one full-network ``shift``.
     """
 
     case: NetworkCase
@@ -95,15 +96,17 @@ class Study:
     flows: ScheduledFlows
     limits: DeltaLimits
     ptdf: PtdfMatrix
+    shift: NetworkShift
 
     @classmethod
     def build(cls, case: NetworkCase, reserves: ReserveConfig,
               area: str | None = None) -> "Study":
         configured = configure_reserves(case, reserves)
         view = partition(configured, area)
-        flows = compute_dc_flows(configured)
+        shift = network_shift(configured)
+        flows = compute_dc_flows(configured, shift)
         limits = compute_delta_limits(configured, view, flows)
-        return cls(configured, view, flows, limits, compute_ptdf(view))
+        return cls(configured, view, flows, limits, compute_ptdf(view), shift)
 
     @property
     def units(self) -> tuple[Generator, ...]:
@@ -121,7 +124,7 @@ class Study:
 
     @cached_property
     def lodf(self) -> LodfMatrix:
-        return compute_lodf(self.view)
+        return compute_lodf(self.view, shift=self.shift)
 
     def assemble(self, spec: FlexibilitySpec) -> ConstraintBlock:
         """Stacked constraint block of the flexibility set ``spec``."""

@@ -116,12 +116,14 @@ def spec_options(fn):
               help="LP feasibility tolerance for this command; the default "
                    "leaves HiGHS at its own 1e-7.")
 @click.option("--redund-tol", default=REDUNDANCY_TOL, show_default=True,
-              callback=_finite_positive, help="Redundancy-removal tolerance.")
+              callback=_finite_positive,
+              help="Slack within which an LP confirms a projection facet; "
+                   "also the redundancy-removal tolerance.")
 @click.option("--contain-tol", default=CONTAIN_TOL, show_default=True,
               callback=_finite_positive, help="Containment check tolerance.")
 @click.option("--row-cap", default=DEFAULT_ROW_CAP, show_default=True,
               type=click.IntRange(min=1),
-              help="Abort threshold for intermediate projection rows.")
+              help="Abort threshold for the facet count of a projection.")
 @click.pass_context
 def main(ctx, out_dir, feas_tol, redund_tol, contain_tol, row_cap):
     """Flexibility polytopes for two-area DC power systems."""

@@ -48,7 +48,8 @@ class UnboundedSetError(GridflexError):
 
 
 class ProjectionSizeError(GridflexError):
-    """An elimination step would exceed the configured row budget.
+    """A projection would exceed the configured row budget: its hull has
+    more facets than the cap, or an elimination step more rows.
 
     Raising instead of grinding on lets the caller retry with a coarser
     redundancy tolerance or a higher row cap.

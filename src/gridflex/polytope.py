@@ -1,10 +1,13 @@
 """H-polytope machinery: feasibility, redundancy, projection, 2-D geometry.
 
 A polytope is the set ``{x : A x <= b}`` with named dimensions.  The
-operations here are exact up to LP tolerances; projection uses
-Fourier-Motzkin elimination with aggressive redundancy pruning after
-every step, which keeps the intermediate row counts near the minimal
-representation instead of letting them explode combinatorially.
+operations here are exact up to LP tolerances.  :func:`project` is
+output-sensitive: it refines an inner hull of support-LP optima until
+an LP confirms every hull facet (the convex-hull method of Lassez &
+Lassez), so its LP count follows the facets of the projection, not the
+rows of the system.  Each support LP runs on a working set of rows that
+grows only by the rows its optimum violates.  Fourier-Motzkin
+elimination (:func:`fourier_motzkin`) stays as the reference method.
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
@@ -17,10 +20,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .errors import (InfeasibleSetError, ProjectionSizeError,
                      UnboundedSetError)
-from .lp import FEASIBILITY_TOL, maximize
+from .lp import FEASIBILITY_TOL, maximize, maximize_lazy
 
 REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
@@ -218,7 +222,7 @@ def eliminate_variable(poly: HPolytope, var: str) -> HPolytope:
 
     Every positive-coefficient row pairs with every negative one; rows
     not involving the variable pass through.  No pruning happens here;
-    :func:`project` interleaves elimination with redundancy removal.
+    :func:`fourier_motzkin` interleaves elimination with redundancy removal.
     """
     k = poly.column(var)
     a, b = poly.A, poly.b
@@ -251,19 +255,25 @@ def _pair_cost(poly: HPolytope, label: str) -> int:
     return pos * neg
 
 
-def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
-            row_cap: int = DEFAULT_ROW_CAP) -> HPolytope:
-    """Exact projection onto the ``keep`` dimensions.
-
-    Variables are eliminated one at a time, cheapest first (smallest
-    positive-times-negative row product), with redundancy removal after
-    every step.  When a step would generate more rows than ``row_cap`` a
-    :class:`ProjectionSizeError` is raised instead of thrashing.
-    """
+def _checked_keep(poly: HPolytope, keep) -> list[str]:
     keep = [str(l) for l in keep]
     for label in keep:
         if label not in poly.labels:
             raise KeyError(f"unknown dimension label '{label}'")
+    return keep
+
+
+def fourier_motzkin(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
+                    row_cap: int = DEFAULT_ROW_CAP) -> HPolytope:
+    """Exact projection onto ``keep`` by Fourier-Motzkin elimination.
+
+    The reference method :func:`project` is tested against.  Variables
+    are eliminated one at a time, cheapest first (smallest
+    positive-times-negative row product), with redundancy removal after
+    every step.  When a step would generate more rows than ``row_cap`` a
+    :class:`ProjectionSizeError` is raised instead of thrashing.
+    """
+    keep = _checked_keep(poly, keep)
     current = remove_redundant(poly, tol)
     while True:
         extra = [l for l in current.labels if l not in keep]
@@ -282,6 +292,132 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
         current = remove_redundant(eliminate_variable(current, label), tol)
     order = [current.column(l) for l in keep]
     return HPolytope(current.A[:, order], current.b, tuple(keep))
+
+
+def _complement(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal rows spanning the complement of the span of ``rows``."""
+    if not len(rows):
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(s > 1e-9)):]
+
+
+def _hull_facets(z: np.ndarray) -> np.ndarray:
+    """Rows ``[w, h]`` with ``w . z <= h`` on every facet of the hull of the
+    full-dimensional point set ``z``; ``w`` has unit norm."""
+    if z.shape[1] == 0:
+        return np.zeros((0, 1))
+    if z.shape[1] == 1:
+        return np.array([[1.0, z.max()], [-1.0, -z.min()]])
+    eq = ConvexHull(z).equations
+    # Coplanar simplices of the triangulated hull share one facet.
+    first = np.unique(np.round(eq[:, :-1], _DUP_DECIMALS), axis=0,
+                      return_index=True)[1]
+    eq = eq[np.sort(first)]
+    return np.column_stack([eq[:, :-1], -eq[:, -1]])
+
+
+def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
+            row_cap: int = DEFAULT_ROW_CAP) -> HPolytope:
+    """Exact projection onto the ``keep`` dimensions, by hull refinement.
+
+    Support LPs ``max n.y`` over the kept coordinates ``y`` start from the
+    directions ``+-e_j``; then every facet of the hull of their optima
+    gets one LP.  A facet is confirmed when its LP value is at most the
+    facet's offset plus ``tol``; otherwise the optimum joins the points.
+    The projection is the confirmed facets, each at its LP value, once
+    no facet is left unconfirmed.  When the optima span less than the
+    kept space, the LP pair along each missing direction either finds
+    new points or shows the set flat there (the two values within
+    ``tol``); a flat direction becomes a row pair and the refinement
+    runs inside the affine hull.
+
+    Every LP solves on one working set of rows that starts at the
+    single-coefficient (box) rows and grows by the rows an optimum
+    violates, so no LP needs the whole system.  The rows come out
+    normalized and sorted.  A hull with more than ``row_cap`` facets
+    raises :class:`ProjectionSizeError`; an empty set raises
+    :class:`InfeasibleSetError` and an unbounded projection
+    :class:`UnboundedSetError`.  Keeping every column only removes
+    redundant rows and reorders the columns.
+    """
+    keep = _checked_keep(poly, keep)
+    cols = [poly.column(l) for l in keep]
+    if sorted(cols) == list(range(poly.dim)):
+        current = remove_redundant(poly, tol)
+        return HPolytope(current.A[:, cols], current.b, tuple(keep))
+
+    dim = len(cols)
+    working = np.count_nonzero(poly.A, axis=1) == 1
+    values: dict[bytes, float] = {}  # support value per solved direction
+
+    def key(normal):
+        return np.round(normal, _DUP_DECIMALS).tobytes()
+
+    def support(normal):
+        c = np.zeros(poly.dim)
+        c[cols] = normal
+        res = maximize_lazy(c, poly.A, poly.b, working)
+        if res.status == "infeasible":
+            raise InfeasibleSetError("cannot project an empty polytope")
+        if res.status == "unbounded":
+            raise UnboundedSetError("the projection is unbounded")
+        values[key(normal)] = res.value
+        return res.value, res.x[cols]
+
+    points = [support(s * e)[1] for e in np.eye(dim) for s in (1.0, -1.0)]
+    flat = np.zeros((0, dim))
+    rows = []
+    # Each pass finds a flat direction or widens the points' span, so
+    # the affine hull is settled within dim + 1 passes.
+    for _ in range(dim + 1):
+        free = _complement(flat, dim)
+        if not len(free):
+            break
+        z = (np.array(points) - points[0]) @ free.T
+        vt = np.linalg.svd(z)[2]
+        missing = vt[np.ptp(z @ vt.T, axis=0) <= tol]
+        if not len(missing):
+            break
+        u = missing[0] @ free
+        hi, y_hi = support(u)
+        lo, y_lo = support(-u)
+        if hi + lo <= tol:
+            flat = np.vstack([flat, u])
+            rows += [(u, hi), (-u, lo)]
+        else:
+            points += [y_hi, y_lo]
+
+    free = _complement(flat, dim)
+    origin = points[0]
+    while True:
+        facets = _hull_facets((np.array(points) - origin) @ free.T)
+        if len(facets) > row_cap:
+            raise ProjectionSizeError(
+                f"the projection's hull has {len(facets)} facets, more rows "
+                f"than the cap {row_cap}; retry with a coarser redundancy "
+                "tolerance or a larger row cap")
+        normals = facets[:, :-1] @ free
+        offsets = facets[:, -1] + normals @ origin
+        found = []
+        for n, h in zip(normals, offsets):
+            # A solved direction's optimum is already one of the points.
+            if key(n) not in values:
+                v, y = support(n)
+                if v > h + tol:
+                    found.append(y)
+        if not found:
+            break
+        points += found
+    rows += [(n, values[key(n)]) for n in normals]
+
+    a = np.array([n for n, _ in rows]).reshape(-1, dim)
+    b = np.array([v for _, v in rows])
+    out = normalize_rows(HPolytope(a, b, tuple(keep)))
+    order = np.lexsort(np.round(out.A, _DUP_DECIMALS).T[::-1])
+    a = out.A[order]
+    a[np.abs(a) < _ZERO_ROW_TOL] = 0.0
+    return HPolytope(a, out.b[order], tuple(keep))
 
 
 @dataclass(frozen=True)

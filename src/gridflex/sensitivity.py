@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseError, GridflexError, SingularNetworkError
-from .network import AreaView, Generator, NetworkCase, _line_key
+from .network import (AreaView, Generator, NetworkCase, TransmissionLine,
+                      _line_key)
 
 BRIDGE_TOL = 1e-6
 _KCL_TOL = 1e-8
@@ -130,6 +131,28 @@ def compute_ptdf(view: AreaView) -> PtdfMatrix:
 
 
 @dataclass(frozen=True)
+class NetworkShift:
+    """Injection-shift matrix of the full two-area network.
+
+    Rows follow ``lines`` (sorted by line key), columns the buses of the
+    case as ``bus_index`` maps them.  Scheduled flows and line-outage
+    factors of one case both read it, so it is solved once per case.
+    """
+
+    lines: tuple[TransmissionLine, ...]
+    nodal: np.ndarray
+    bus_index: dict[int, int]
+
+
+def network_shift(case: NetworkCase) -> NetworkShift:
+    """Solve the full-network injection-shift matrix of ``case``."""
+    lines = tuple(sorted(case.lines, key=_line_key))
+    nodal, index = _nodal_ptdf([b.id for b in case.buses], lines,
+                               case.reference_bus, context="full network")
+    return NetworkShift(lines, nodal, index)
+
+
+@dataclass(frozen=True)
 class ScheduledFlows:
     """DC flows of the full two-area network at the scheduled dispatch."""
 
@@ -142,30 +165,30 @@ class ScheduledFlows:
         return float(self.p_line_pu[self.line_ids.index(line_id)])
 
 
-def compute_dc_flows(case: NetworkCase) -> ScheduledFlows:
+def compute_dc_flows(case: NetworkCase,
+                     shift: NetworkShift | None = None) -> ScheduledFlows:
     """Solve the full-network DC flows for the scheduled injections.
 
-    Raises :class:`CaseError` when generation and load disagree by more
-    than the balance tolerance; the solution would silently dump the
-    mismatch on the reference bus otherwise.
+    ``shift`` is the case's :func:`network_shift`, solved here when not
+    given.  Raises :class:`CaseError` when generation and load disagree
+    by more than the balance tolerance; the solution would silently dump
+    the mismatch on the reference bus otherwise.
     """
     imbalance = case.total_generation() - case.total_load()
     if abs(imbalance) > 1e-6:
         raise CaseError(
             f"dispatch is unbalanced by {imbalance:+.3e} pu; flows undefined")
-    lines = tuple(sorted(case.lines, key=_line_key))
-    bus_ids = [b.id for b in case.buses]
-    nodal, index = _nodal_ptdf(bus_ids, lines, case.reference_bus,
-                               context="full network")
-    injection = np.zeros(len(bus_ids))
+    shift = network_shift(case) if shift is None else shift
+    index = shift.bus_index
+    injection = np.zeros(len(index))
     for b in case.buses:
         injection[index[b.id]] -= b.load_pu
     for g in case.generators:
         injection[index[g.bus]] += g.p_sched_pu
-    flows = nodal @ injection
+    flows = shift.nodal @ injection
     gens = tuple(sorted(case.generators, key=lambda g: (g.bus, g.id)))
     return ScheduledFlows(
-        line_ids=tuple(ln.id for ln in lines),
+        line_ids=tuple(ln.id for ln in shift.lines),
         p_line_pu=flows,
         gen_ids=tuple(g.id for g in gens),
         p_gen_pu=np.array([g.p_sched_pu for g in gens]),
@@ -256,8 +279,8 @@ class LodfMatrix:
         return mask, np.where(mask, col, 0.0)
 
 
-def compute_lodf(view: AreaView,
-                 outages: tuple[str, ...] | None = None) -> LodfMatrix:
+def compute_lodf(view: AreaView, outages: tuple[str, ...] | None = None,
+                 shift: NetworkShift | None = None) -> LodfMatrix:
     """Distribution factors for single line outages.
 
     For outage candidate ``h`` the factor on surviving line ``j`` is
@@ -268,14 +291,12 @@ def compute_lodf(view: AreaView,
 
     ``outages`` defaults to every study-area line including the ties;
     any line id of the full network is accepted, which lets tests sweep
-    the neighbor area as well.
+    the neighbor area as well.  ``shift`` is the :func:`network_shift`
+    of ``view.case``, solved here when not given.
     """
-    case = view.case
-    lines = tuple(sorted(case.lines, key=_line_key))
+    shift = network_shift(view.case) if shift is None else shift
+    lines, nodal, index = shift.lines, shift.nodal, shift.bus_index
     line_pos = {ln.id: k for k, ln in enumerate(lines)}
-    bus_ids = [b.id for b in case.buses]
-    nodal, index = _nodal_ptdf(bus_ids, lines, case.reference_bus,
-                               context="full network")
     if outages is None:
         outages = view.line_ids
     for oid in outages:

@@ -8,8 +8,10 @@ from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       compute_delta_limits, contains, export_polytope,
                       exported_flexibility, external_polytope, is_feasible,
                       max_nodal_deviation, nodal_deviation_report,
-                      partition, prepare, remove_redundant, vertices_2d)
-from gridflex import analysis, lp
+                      partition, polytope_from_block, prepare, project,
+                      remove_redundant, scale_load, vertices_2d)
+from gridflex import analysis, lp, polytope, sensitivity
+from gridflex.polytope import fourier_motzkin
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
 from conftest import triangle_tie_dict
@@ -418,3 +420,51 @@ def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
                 for mode in ("passive", "active", "atc")
                 for _ in range(24 * 2)]  # buses × directions
     assert rows == expected
+
+
+@pytest.mark.parametrize("level", [1.0, 0.7])
+def test_rts_projections_match_fm(rts_case, level):
+    """Hull refinement and Fourier-Motzkin give the same RTS-96 sets."""
+    case = rts_case if level == 1.0 else scale_load(rts_case, level)
+    study = Study.build(case, ReserveConfig(mode="full"))
+    keep = study.view.external_labels
+    for approach in ("passive", "active"):
+        for security in ("n", "n1"):
+            spec = FlexibilitySpec(approach, security, ReserveConfig(mode="full"))
+            flex = polytope_from_block(study.assemble(spec), study.view, approach)
+            hr, fm = project(flex, keep), fourier_motzkin(flex, keep)
+            assert contains(hr, fm, tol=1e-7).contained, spec.describe()
+            assert contains(fm, hr, tol=1e-7).contained, spec.describe()
+            totals = [exported_flexibility(_fe_from_poly(p)).total for p in (hr, fm)]
+            assert totals[0] == pytest.approx(totals[1], abs=1e-9), spec.describe()
+
+
+def test_rts_active_n1_export_lps_stay_small(rts_case, monkeypatch):
+    """No LP of the RTS-96 active N-1 export sees the whole 5,686-row stack."""
+    rows, solve = [], lp.maximize
+
+    def counted(c, a_ub, b_ub, *args, **kwargs):
+        rows.append(np.shape(a_ub)[0])
+        return solve(c, a_ub, b_ub, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize", counted)
+    monkeypatch.setattr(polytope, "maximize", counted)
+    spec = FlexibilitySpec("active", "n1", ReserveConfig(mode="full"))
+    external_polytope(rts_case, spec)
+    assert len(rows) >= 2 * 3
+    assert max(rows) <= 1000
+
+
+def test_study_solves_one_full_network_shift(rts_case, monkeypatch):
+    """One RTS-96 study plus an N-1 assembly: one full-network and one
+    area shift matrix."""
+    contexts, nodal_ptdf = [], sensitivity._nodal_ptdf
+
+    def counted(bus_ids, lines, reference, context="network"):
+        contexts.append(context)
+        return nodal_ptdf(bus_ids, lines, reference, context)
+
+    monkeypatch.setattr(sensitivity, "_nodal_ptdf", counted)
+    study = Study.build(rts_case, ReserveConfig(mode="full"))
+    study.assemble(FlexibilitySpec("active", "n1", ReserveConfig(mode="full")))
+    assert sorted(contexts) == sorted(["full network", f"area {study.view.area}"])

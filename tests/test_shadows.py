@@ -1,4 +1,5 @@
-"""The vertex path for 2-D shadows against Fourier-Motzkin and LP oracles."""
+"""Hull-refinement projection and the vertex path for 2-D shadows, both
+against Fourier-Motzkin and LP oracles."""
 
 import itertools
 
@@ -10,7 +11,8 @@ from gridflex import (ExternalPolytope, FlexibilitySpec, HPolytope,
                       exported_flexibility, external_polytope, project,
                       vertices_2d)
 from gridflex.lp import maximize
-from gridflex.polytope import hull_2d, polygon_area, vertices
+from gridflex.polytope import (contains, fourier_motzkin, hull_2d,
+                               polygon_area, vertices)
 
 TOL = 1e-7
 
@@ -34,7 +36,7 @@ def test_vertex_shadows_match_fm(flat):
         poly = random_polytope(rng, flat)
         verts = vertices(poly)
         for i, j in itertools.combinations(range(poly.dim), 2):
-            fm = project(poly, [poly.labels[i], poly.labels[j]])
+            fm = fourier_motzkin(poly, [poly.labels[i], poly.labels[j]])
             hull = hull_2d(verts[:, [i, j]])
             tag = (flat, trial, i, j)
             # Every hull vertex lies in the FM shadow ...
@@ -45,13 +47,100 @@ def test_vertex_shadows_match_fm(flat):
             assert polygon_area(hull) == pytest.approx(area_2d(fm), abs=1e-9), tag
 
 
+def assert_same_set(p, q, tol=TOL):
+    """Mutual containment of two H-polytopes over the same labels."""
+    assert contains(p, q, tol=tol).contained
+    assert contains(q, p, tol=tol).contained
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_hull_refinement_matches_fm(flat):
+    rng = np.random.default_rng(11 if flat else 5)
+    for trial in range(20):
+        poly = random_polytope(rng, flat)
+        for keep in itertools.combinations(poly.labels, 2):
+            hr, fm = project(poly, keep), fourier_motzkin(poly, keep)
+            assert_same_set(hr, fm)
+            assert area_2d(hr) == pytest.approx(area_2d(fm), abs=1e-9), (trial, keep)
+
+
+def test_project_single_kept_dimension_is_an_interval():
+    poly = random_polytope(np.random.default_rng(8), flat=False)
+    hr = project(poly, ["t1"])
+    assert hr.nrows == 2 and hr.labels == ("t1",)
+    assert_same_set(hr, fourier_motzkin(poly, ["t1"]))
+
+
+def test_project_flat_shadow():
+    """The kept pair is tied to ``e0 + e1 = 0``: the shadow is a segment."""
+    a = np.vstack([np.eye(3), -np.eye(3), [[0.0, 1.0, 1.0], [0.0, -1.0, -1.0],
+                                           [1.0, 1.0, 0.0]]])
+    b = np.concatenate([np.ones(6), [0.0, 0.0, 0.5]])
+    poly = HPolytope(a, b, ("i", "e0", "e1"))
+    hr = project(poly, ["e0", "e1"])
+    assert_same_set(hr, fourier_motzkin(poly, ["e0", "e1"]))
+    assert np.allclose(vertices(hr), [[-1.0, 1.0], [1.0, -1.0]])
+    assert area_2d(hr) == 0.0
+
+
+def test_project_single_point():
+    a = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
+    b = np.array([1.0, 0.25, -0.5, 1.0, -0.25, 0.5, 2.0])
+    poly = HPolytope(a, b, ("i", "e0", "e1"))
+    hr = project(poly, ["e0", "e1"])
+    assert hr.nrows == 4
+    assert np.allclose(vertices(hr), [[0.25, -0.5]])
+
+
+def test_project_empty_set_raises():
+    a = np.vstack([np.eye(3), -np.eye(3)])
+    b = np.array([1.0, 1.0, 1.0, -2.0, 1.0, 1.0])
+    with pytest.raises(InfeasibleSetError):
+        project(HPolytope(a, b, ("i", "e0", "e1")), ["e0", "e1"])
+
+
+def test_project_unbounded_set_raises():
+    a = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                  [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+    poly = HPolytope(a, np.ones(5), ("i", "e0", "e1"))
+    with pytest.raises(UnboundedSetError):
+        project(poly, ["e0", "e1"])
+
+
+def test_project_when_axis_optima_give_two_points():
+    """Instance 12 of the shadow-oracle generator (seed 0): the four
+    support LPs along the kept axes end at only two distinct points, so
+    the hull needs the LP pair along the missing direction first."""
+    rng = np.random.default_rng((0, 3))
+    for k in range(13):
+        n_i = 1 + k % 3
+        dim = n_i + 2
+        hi, lo = 0.5 + rng.random(dim), -(0.5 + rng.random(dim))
+        a = np.vstack([np.eye(dim), -np.eye(dim), np.ones((1, dim)),
+                       -np.ones((1, dim)), rng.normal(size=(5, dim))])
+        b = np.concatenate([hi, -lo, np.zeros(2),
+                            np.abs(rng.normal(size=5)) + 0.3])
+        rng.uniform(-1.6, 1.6, size=(30, 2))
+    poly = HPolytope(a, b, ("i0", "e0", "e1"))
+    optima = []
+    for c in ([0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]):
+        optima.append(maximize(np.array(c, float), a, b).x[1:])
+    assert len(np.unique(np.round(optima, 9), axis=0)) == 2
+    hr = project(poly, ["e0", "e1"])
+    fm = fourier_motzkin(poly, ["e0", "e1"])
+    assert_same_set(hr, fm)
+    assert area_2d(hr) == pytest.approx(area_2d(fm), abs=1e-9)
+    assert area_2d(hr) > 0.1
+
+
 def test_metric_equals_fm_pair_areas():
     rng = np.random.default_rng(3)
     for flat in (False, True):
         poly = random_polytope(rng, flat)
         report = exported_flexibility(ExternalPolytope(poly, {}))
         for x, y, area in report.pair_areas:
-            assert area == pytest.approx(area_2d(project(poly, [x, y])), abs=1e-9)
+            assert area == pytest.approx(area_2d(fourier_motzkin(poly, [x, y])),
+                                         abs=1e-9)
 
 
 def test_single_tie_metric_is_interval_length():
