@@ -5,8 +5,9 @@ without single-outage security) at peak load and at 70% of it, checks
 the expected inclusions, and tabulates the exported flexibility: the
 summed areas of all pairwise tie projections.
 
-Takes roughly ten seconds; the security cases stack a few thousand
-outage rows before pruning."""
+Takes about two seconds.  The security cases stack a few thousand
+outage rows; parallel rows merge to under a thousand before any LP, and
+each LP sees at most about a hundred of them."""
 
 import importlib.resources as resources
 import time

@@ -14,7 +14,7 @@ active
     the set lives over ``(p_i, p_e)`` and is projected onto ``p_e``.
 passive
     Internal sources stay put (``p_i = 0``): the same rows restricted
-    to their external columns.  No projection is needed.
+    to their external columns, projected like the active ones.
 
 Either flavor exists in a base-case (``n``) and a security (``n1``)
 version that adds one row band per generator and line outage.
@@ -228,10 +228,9 @@ def export_polytope(flex_set: HPolytope, view: AreaView,
                     row_cap: int = DEFAULT_ROW_CAP) -> ExternalPolytope:
     """Project a flexibility set onto the tie dimensions.
 
-    Passive sets are already external and only get minimized.  The
-    result is checked to contain the origin and to be bounded, which
-    every well-formed flexibility set is (tie capacities bound it); the
-    vertex enumeration that checks the latter is kept on the result.
+    :func:`project` proves the result nonempty and bounded, as every
+    well-formed flexibility set is (tie capacities bound it); here it is
+    also checked to contain the origin.
     """
     keep = view.external_labels
     projected = project(flex_set, keep, tol=tol, row_cap=row_cap)
@@ -240,9 +239,7 @@ def export_polytope(flex_set: HPolytope, view: AreaView,
     provenance = {"case_hash": view.case.case_hash()}
     if spec is not None:
         provenance["spec"] = spec.describe()
-    fe = ExternalPolytope(poly=projected, provenance=provenance)
-    fe.vertices  # raises UnboundedSetError for an unbounded set
-    return fe
+    return ExternalPolytope(poly=projected, provenance=provenance)
 
 
 def external_polytope(case: NetworkCase, spec: FlexibilitySpec,

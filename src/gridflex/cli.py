@@ -117,8 +117,7 @@ def spec_options(fn):
                    "leaves HiGHS at its own 1e-7.")
 @click.option("--redund-tol", default=REDUNDANCY_TOL, show_default=True,
               callback=_finite_positive,
-              help="Slack within which an LP confirms a projection facet; "
-                   "also the redundancy-removal tolerance.")
+              help="Slack within which an LP confirms a projection facet.")
 @click.option("--contain-tol", default=CONTAIN_TOL, show_default=True,
               callback=_finite_positive, help="Containment check tolerance.")
 @click.option("--row-cap", default=DEFAULT_ROW_CAP, show_default=True,

@@ -6,8 +6,9 @@ output-sensitive: it refines an inner hull of support-LP optima until
 an LP confirms every hull facet (the convex-hull method of Lassez &
 Lassez), so its LP count follows the facets of the projection, not the
 rows of the system.  Each support LP runs on a working set of rows that
-grows only by the rows its optimum violates.  Fourier-Motzkin
-elimination (:func:`fourier_motzkin`) stays as the reference method.
+grows only by the rows its optimum violates.  Keeping every column
+takes the same path.  Fourier-Motzkin elimination
+(:func:`fourier_motzkin`) stays as the reference method.
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
@@ -172,15 +173,15 @@ def _box_redundant(a: np.ndarray, b: np.ndarray, lo, hi, tol: float):
 
 
 def remove_redundant(poly: HPolytope, tol: float = REDUNDANCY_TOL) -> HPolytope:
-    """Minimal representation with the feasible set unchanged.
+    """Drop the rows redundant by more than ``tol``; the set is unchanged.
 
     A row is dropped when maximizing its left-hand side over the
-    remaining rows cannot exceed its offset minus ``tol``.  Cheap
-    filters run first: duplicate merging during normalization, then a
-    box filter against the single-variable bound rows of the system.
-    The LP pass keeps a cloud of feasible points collected from LP
-    optima; any row already tight at a cloud point is provably needed
-    and skips its LP.
+    remaining rows cannot exceed its offset minus ``tol``, so a row that
+    touches the set without being a facet stays.  Cheap filters run
+    first: duplicate merging during normalization, then a box filter
+    against the single-variable bound rows of the system.  The LP pass
+    keeps a cloud of feasible points collected from LP optima; any row
+    already tight at a cloud point is provably needed and skips its LP.
     """
     p = normalize_rows(poly)
     feasible, witness = is_feasible(p)
@@ -269,8 +270,9 @@ def fourier_motzkin(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
 
     The reference method :func:`project` is tested against.  Variables
     are eliminated one at a time, cheapest first (smallest
-    positive-times-negative row product), with redundancy removal after
-    every step.  When a step would generate more rows than ``row_cap`` a
+    positive-times-negative row product), with :func:`remove_redundant`
+    after every step, so rows that only touch the result may stay.  When
+    a step would generate more rows than ``row_cap`` a
     :class:`ProjectionSizeError` is raised instead of thrashing.
     """
     keep = _checked_keep(poly, keep)
@@ -321,32 +323,30 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
             row_cap: int = DEFAULT_ROW_CAP) -> HPolytope:
     """Exact projection onto the ``keep`` dimensions, by hull refinement.
 
-    Support LPs ``max n.y`` over the kept coordinates ``y`` start from the
-    directions ``+-e_j``; then every facet of the hull of their optima
-    gets one LP.  A facet is confirmed when its LP value is at most the
-    facet's offset plus ``tol``; otherwise the optimum joins the points.
-    The projection is the confirmed facets, each at its LP value, once
-    no facet is left unconfirmed.  When the optima span less than the
-    kept space, the LP pair along each missing direction either finds
-    new points or shows the set flat there (the two values within
-    ``tol``); a flat direction becomes a row pair and the refinement
-    runs inside the affine hull.
+    The rows are normalized first, so parallel rows (a rank-one outage
+    band, duplicates) merge before any LP.  Support LPs ``max n.y`` over
+    the kept coordinates ``y`` start from the directions ``+-e_j``; then
+    every facet of the hull of their optima gets one LP.  A facet is
+    confirmed when its LP value is at most the facet's offset plus
+    ``tol``; otherwise the optimum joins the points.  The projection is
+    the confirmed facets, each at its LP value, once no facet is left
+    unconfirmed.  When the optima span less than the kept space, the LP
+    pair along each missing direction either finds new points or shows
+    the set flat there (the two values within ``tol``); a flat direction
+    becomes a row pair and the refinement runs inside the affine hull.
 
     Every LP solves on one working set of rows that starts at the
     single-coefficient (box) rows and grows by the rows an optimum
     violates, so no LP needs the whole system.  The rows come out
-    normalized and sorted.  A hull with more than ``row_cap`` facets
-    raises :class:`ProjectionSizeError`; an empty set raises
-    :class:`InfeasibleSetError` and an unbounded projection
-    :class:`UnboundedSetError`.  Keeping every column only removes
-    redundant rows and reorders the columns.
+    normalized and sorted, one per facet (a flat set adds its affine
+    hull's row pairs), also when every column is kept.  A hull with more
+    than ``row_cap`` facets raises :class:`ProjectionSizeError`; an empty
+    set raises :class:`InfeasibleSetError` and an unbounded projection
+    :class:`UnboundedSetError`.
     """
     keep = _checked_keep(poly, keep)
+    poly = normalize_rows(poly)
     cols = [poly.column(l) for l in keep]
-    if sorted(cols) == list(range(poly.dim)):
-        current = remove_redundant(poly, tol)
-        return HPolytope(current.A[:, cols], current.b, tuple(keep))
-
     dim = len(cols)
     working = np.count_nonzero(poly.A, axis=1) == 1
     values: dict[bytes, float] = {}  # support value per solved direction

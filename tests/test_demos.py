@@ -1,4 +1,4 @@
-"""Smoke test: the 2-D geometry demos run and print their known figures."""
+"""Smoke test: demos 01-03 run and print their known figures."""
 
 import os
 import subprocess
@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize("script, expected", [
     ("01_two_tie_hexagon.py", "area: 3.000000"),
+    ("02_rts96_flexibility_sets.py", "active/n1    total    76.9"),
     ("03_transfer_capacity_comparison.py",
      "active 156.2 pu^2, transfer 119.7 pu^2"),
 ])

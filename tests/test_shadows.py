@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gridflex import (ExternalPolytope, FlexibilitySpec, HPolytope,
-                      InfeasibleSetError, UnboundedSetError, area_2d,
-                      exported_flexibility, external_polytope, project,
-                      vertices_2d)
+                      InfeasibleSetError, ProjectionSizeError,
+                      UnboundedSetError, area_2d, exported_flexibility,
+                      external_polytope, project, vertices_2d)
 from gridflex.lp import maximize
 from gridflex.polytope import (contains, fourier_motzkin, hull_2d,
                                polygon_area, vertices)
@@ -105,6 +105,29 @@ def test_project_unbounded_set_raises():
     poly = HPolytope(a, np.ones(5), ("i", "e0", "e1"))
     with pytest.raises(UnboundedSetError):
         project(poly, ["e0", "e1"])
+
+
+SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+
+@pytest.mark.parametrize("rows, b, row_cap, expected", [
+    (SQUARE + [[1, 1]], [1, 1, 1, 1, 2], 100, 4),
+    ([[1, 0], [-1, 0], [0, -1]], [1, 1, 0], 100, UnboundedSetError),
+    (SQUARE + [[1, 1], [1, -1], [-1, 1], [-1, -1]], [1] * 4 + [1.5] * 4, 4,
+     ProjectionSizeError),
+], ids=["row-touching-a-corner", "half-strip", "octagon-over-cap"])
+def test_project_keeping_every_column(rows, b, row_cap, expected):
+    """Keeping every column refines the hull like any other projection: a
+    row that only touches the set goes, and boundedness and the row cap
+    are checked."""
+    poly = HPolytope(np.array(rows, float), np.array(b, float), ("x", "y"))
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            project(poly, ["x", "y"], row_cap=row_cap)
+        return
+    hr = project(poly, ["x", "y"], row_cap=row_cap)
+    assert hr.nrows == expected
+    assert_same_set(hr, poly)
 
 
 def test_project_when_axis_optima_give_two_points():
