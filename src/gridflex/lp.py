@@ -12,10 +12,13 @@ same inputs, so both give the same answers; it skips ``linprog``'s
 per-call input cleaning, option checks and sparse conversion, which cost
 more than the solve on the small LPs here.  As ``linprog`` does, it
 rejects an "optimal" point that breaks a bound, a row or an equality by
-more than ``sqrt(1e-9) * 10``.  That module is private to scipy: it is
-looked up when this module is imported and checked on the first solve
-against a tiny LP with a known optimum, and if either step fails every LP
-goes through ``linprog`` instead.
+more than ``sqrt(1e-9) * 10``.  That module is private to scipy.  It is
+loaded from its file, found through scipy's package location, under its own
+name, so ``scipy.optimize`` is never imported unless the fallback runs (a
+later ``import scipy.optimize`` gets the same module); it is checked on the
+first solve against a tiny LP with a known optimum.  If the file is missing,
+fails to load or fails the check, every LP goes through ``linprog``, which
+is imported on its first call.
 
 HiGHS keeps its own feasibility tolerances unless a
 :func:`feasibility_tolerance` block is open in the calling context.
@@ -26,20 +29,60 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import LPSolverError
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs_file() -> str | None:
+    """Path of scipy's HiGHS extension module, or None when there is none.
+    ``find_spec`` on the top-level package runs no scipy code."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    folder = os.path.join(spec.submodule_search_locations[0],
+                          "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_highs():
+    """scipy's HiGHS bindings, loaded from their file without importing
+    ``scipy.optimize``, or None when the file is missing or fails to load.
+    The module is registered under its own name, so the bindings are never
+    initialized twice: a later ``import scipy.optimize`` reuses the module,
+    and loading it again returns the one already in ``sys.modules``."""
+    path = _highs_file()
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+_highs = _load_highs()
 try:
-    from scipy.optimize._highspy import _core as _highs
     _HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: "optimal",
                      _highs.HighsModelStatus.kInfeasible: "infeasible",
                      _highs.HighsModelStatus.kUnbounded: "unbounded"}
-except (ImportError, AttributeError):  # a scipy without these HiGHS bindings
+except AttributeError:  # no bindings, or bindings of another layout
     _highs, _HIGHS_STATUS = None, {}
 
 FEASIBILITY_TOL = 1e-8
@@ -120,6 +163,13 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
     return LPResult(status="optimal", x=np.asarray(x), value=float(-fun))
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: only the
+    fallback backend needs it."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def _solve_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):

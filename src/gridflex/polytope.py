@@ -7,8 +7,11 @@ an LP confirms every hull facet (the convex-hull method of Lassez &
 Lassez), so its LP count follows the facets of the projection, not the
 rows of the system.  Each support LP runs on a working set of rows that
 grows only by the rows its optimum violates.  Keeping every column
-takes the same path.  Fourier-Motzkin elimination
-(:func:`fourier_motzkin`) stays as the reference method.
+takes the same path.  The facets of the inner hull come from numpy:
+every ``d``-subset of the optima spans a hyperplane, and the ones with
+all optima on one side are the facets (Qhull, imported only when the
+subsets are too many, does it for large point sets).  Fourier-Motzkin
+elimination (:func:`fourier_motzkin`) stays as the reference method.
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
@@ -18,10 +21,10 @@ Every 2-D shadow is the hull of two columns of :func:`vertices`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (InfeasibleSetError, ProjectionSizeError,
                      UnboundedSetError)
@@ -33,6 +36,13 @@ CONTAIN_TOL = 1e-6
 _ZERO_ROW_TOL = 1e-12
 _DUP_DECIMALS = 9
 _HULL_TOL = 1e-8
+_HULL_EPS = 1e-10  # off-hyperplane slack of a hull facet, per unit of extent
+# Past this many d-subsets Qhull is cheaper, its import included: on a 2-core
+# host importing scipy.spatial took 0.40-0.51 s, and _facet_planes took
+# 0.9 us a subset (3-D, 115 points) to 3 us (2-D, 500 points), so break-even
+# lies at 150,000-500,000 subsets; this is its low end.  Projections of the
+# bundled cases see at most C(24, 3) = 2,024.
+_QHULL_SUBSETS = 150_000
 
 
 @dataclass(frozen=True)
@@ -304,19 +314,89 @@ def _complement(rows: np.ndarray, dim: int) -> np.ndarray:
     return vt[int(np.sum(s > 1e-9)):]
 
 
+def _subsets(n: int, k: int):
+    """The ``k``-subsets of ``range(n)`` (``k >= 1``) in lexicographic
+    order, as integer arrays of at most 4096 rows, one subset per row."""
+    combos = itertools.combinations(range(n), k)
+    while len(idx := np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, 4096)),
+            dtype=np.intp).reshape(-1, k)):
+        yield idx
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices; closed form up to 2x2,
+    where it is much cheaper than LAPACK's LU on small stacks."""
+    if m.shape[-1] == 1:
+        return m[..., 0, 0]
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
+
+
+def _hull_slack(z: np.ndarray) -> float:
+    """How far off a hyperplane a point of ``z`` may lie and still count
+    as on it: ``_HULL_EPS`` per unit of the points' extent."""
+    return _HULL_EPS * max(1.0, float(np.abs(z).max()))
+
+
+def _facet_planes(z: np.ndarray):
+    """Outward unit normals ``w`` and offsets ``h`` of the hyperplanes
+    through ``d`` of the points ``z`` that hold every point on one side
+    and ``d`` affinely independent points, one per such ``d``-subset."""
+    n, d = z.shape
+    eps = _hull_slack(z)
+    # Cofactor k of the d - 1 edge vectors drops column k (the generalized
+    # cross product): the normal of the hyperplane through the subset.
+    minors = [[j for j in range(d) if j != k] for k in range(d)]
+    signs = (-1.0) ** np.arange(d)
+    ws, hs = [np.zeros((0, d))], [np.zeros(0)]
+    for idx in _subsets(n, d):
+        corners = z[idx]
+        edges = corners[:, 1:] - corners[:, :1]
+        w = signs * _det(edges[:, :, minors].transpose(0, 2, 1, 3))
+        norm = np.linalg.norm(w, axis=1)
+        w /= np.where(norm > 0, norm, np.inf)[:, None]
+        h = np.einsum("ki,ki->k", w, corners[:, 0])
+        dist = z @ w.T - h  # one column per subset
+        below = dist.max(axis=0) <= eps
+        side = (norm > 0) & (below | (dist.min(axis=0) >= -eps))
+        flip = np.where(below[side], 1.0, -1.0)
+        w, h = flip[:, None] * w[side], flip * h[side]
+        # The points on a facet span d - 1 directions; a subset of (nearly)
+        # repeated or collinear points spans fewer and its plane is noise.
+        on = np.abs(dist[:, side].T) <= eps
+        mean = on @ z / on.sum(axis=1)[:, None]
+        centred = (z - mean[:, None, :]) * on[..., None]
+        wide = np.linalg.svd(centred, compute_uv=False)[:, d - 2] > eps
+        ws.append(w[wide])
+        hs.append(h[wide])
+    return np.vstack(ws), np.concatenate(hs)
+
+
 def _hull_facets(z: np.ndarray) -> np.ndarray:
     """Rows ``[w, h]`` with ``w . z <= h`` on every facet of the hull of the
-    full-dimensional point set ``z``; ``w`` has unit norm."""
-    if z.shape[1] == 0:
+    full-dimensional point set ``z``; ``w`` has unit norm.
+
+    The facets come from every ``d``-subset of the points
+    (:func:`_facet_planes`); past ``_QHULL_SUBSETS`` subsets Qhull is
+    cheaper, import included, and computes them instead."""
+    n, d = z.shape
+    if d == 0:
         return np.zeros((0, 1))
-    if z.shape[1] == 1:
+    if d == 1:
         return np.array([[1.0, z.max()], [-1.0, -z.min()]])
-    eq = ConvexHull(z).equations
-    # Coplanar simplices of the triangulated hull share one facet.
-    first = np.unique(np.round(eq[:, :-1], _DUP_DECIMALS), axis=0,
+    if math.comb(n, d) > _QHULL_SUBSETS:
+        from scipy.spatial import ConvexHull
+        eq = ConvexHull(z).equations
+        w, h = eq[:, :-1], -eq[:, -1]
+    else:
+        w, h = _facet_planes(z)
+    # Subsets (or Qhull's simplices) on one facet share its normal.
+    first = np.unique(np.round(w, _DUP_DECIMALS), axis=0,
                       return_index=True)[1]
-    eq = eq[np.sort(first)]
-    return np.column_stack([eq[:, :-1], -eq[:, -1]])
+    first = np.sort(first)
+    return np.column_stack([w[first], h[first]])
 
 
 def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
@@ -375,14 +455,17 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
         if not len(free):
             break
         z = (np.array(points) - points[0]) @ free.T
+        # The hull resolves no thickness below its own slack, so a
+        # direction thinner than that is flat whatever ``tol`` says.
+        thin = max(tol, _hull_slack(z))
         vt = np.linalg.svd(z)[2]
-        missing = vt[np.ptp(z @ vt.T, axis=0) <= tol]
+        missing = vt[np.ptp(z @ vt.T, axis=0) <= thin]
         if not len(missing):
             break
         u = missing[0] @ free
         hi, y_hi = support(u)
         lo, y_lo = support(-u)
-        if hi + lo <= tol:
+        if hi + lo <= thin:
             flat = np.vstack([flat, u])
             rows += [(u, hi), (-u, lo)]
         else:
@@ -488,9 +571,8 @@ def vertices(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
     if not np.all(np.isfinite(bounding_box(poly))):
         raise UnboundedSetError("polytope is unbounded; no vertex description")
     p = normalize_rows(poly)
-    combos = itertools.combinations(range(p.nrows), p.dim)
     found = [np.zeros((0, p.dim))]
-    while len(idx := np.array(list(itertools.islice(combos, 4096)), dtype=int)):
+    for idx in _subsets(p.nrows, p.dim):
         idx = idx[np.abs(np.linalg.det(p.A[idx])) >= 1e-12]
         v = np.linalg.solve(p.A[idx], p.b[idx][..., None])[..., 0]
         found.append(v[np.all(v @ p.A.T <= p.b + tol, axis=1)])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +373,47 @@ def test_maxdev_hashes_each_case_once(runner, tmp_path, monkeypatch):
         "--out-dir", str(tmp_path), "maxdev", "--case", _rts()])
     assert result.exit_code == 0, result.output
     assert len(calls) == 2
+
+
+def test_a_flat_set_projects_alike_below_the_hull_slack(runner, tmp_path):
+    """A passive set lies in the balance plane; with a facet slack below
+    the LP noise off that plane it still comes out flat and bounded."""
+    polys = []
+    for tol in ("1e-7", "1e-16"):
+        out = tmp_path / tol
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "--redund-tol", tol, "build", "--case",
+            _rts(), "--approach", "passive"])
+        assert result.exit_code == 0, result.output
+        polys.append(json.loads((out / "external_polytope.json").read_text()))
+    assert polys[1]["A"] == polys[0]["A"] and polys[1]["b"] == polys[0]["b"]
+
+
+LEAN_RUN = """
+import sys
+import gridflex.cli
+from gridflex import (FlexibilitySpec, exported_flexibility, external_polytope,
+                      load_case, lp)
+fe = external_polytope(load_case(sys.argv[1]), FlexibilitySpec("active"))
+assert exported_flexibility(fe).total > 0
+print(sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules))
+print(lp._backend is lp._solve_highs)
+from scipy.optimize._highspy import _core
+print(_core is lp._highs, lp.linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0]).fun)
+"""
+
+
+@pytest.mark.skipif(lp._highs is None,
+                    reason="this scipy has no bundled HiGHS bindings")
+def test_a_run_loads_neither_scipy_optimize_nor_scipy_spatial():
+    """Import, a projection and a metric in a fresh process leave
+    scipy.optimize and scipy.spatial unloaded; the HiGHS bindings solve
+    every LP, and a later ``import scipy.optimize`` reuses them."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", LEAN_RUN, _toy()], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True", "True -2.0"]

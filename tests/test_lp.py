@@ -3,6 +3,7 @@ fallback itself, input checks, and row generation (`maximize_lazy`) against
 one solve on the full stack."""
 
 import contextlib
+import sys
 import types
 
 import numpy as np
@@ -123,7 +124,8 @@ def _api_changed(*args):
 
 
 @direct_only
-@pytest.mark.parametrize("failure", ["wrong-optimum", "api-changed", "no-module"])
+@pytest.mark.parametrize("failure", ["wrong-optimum", "api-changed", "no-module",
+                                     "no-core-file"])
 def test_failed_self_check_falls_back_to_linprog(failure, monkeypatch):
     expected = {case: _run(case) for case in BATTERY}
     calls = []
@@ -133,6 +135,10 @@ def test_failed_self_check_falls_back_to_linprog(failure, monkeypatch):
     monkeypatch.setattr(lp, "_backend", None)
     if failure == "no-module":
         monkeypatch.setattr(lp, "_highs", None)
+    elif failure == "no-core-file":
+        monkeypatch.setattr(lp, "_highs_file", lambda: None)
+        monkeypatch.setattr(lp, "_highs", lp._load_highs())
+        assert lp._highs is None
     else:
         monkeypatch.setattr(lp, "_solve_highs", {"wrong-optimum": _wrong_optimum,
                                                  "api-changed": _api_changed}[failure])
@@ -140,6 +146,14 @@ def test_failed_self_check_falls_back_to_linprog(failure, monkeypatch):
         _same(_run(case), ref)
     assert lp._backend is lp._solve_linprog
     assert len(calls) >= len(BATTERY)
+
+
+@direct_only
+def test_the_bindings_are_loaded_once():
+    """Loading again returns the module already registered, so gridflex
+    and a ``scipy.optimize`` imported before it share one module."""
+    assert lp._load_highs() is lp._highs
+    assert sys.modules[lp._HIGHS_MODULE] is lp._highs
 
 
 @direct_only

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from gridflex import (HPolytope, InfeasibleSetError, ProjectionSizeError,
                       UnboundedSetError, area_2d, bounding_box, contains,
                       eliminate_variable, is_feasible, project,
                       remove_redundant, vertices_2d, write_vertices_csv)
+from gridflex import polytope
 from gridflex.lp import maximize
 from gridflex.polytope import normalize_rows
 
@@ -314,3 +317,75 @@ def test_vertex_csv_format(tmp_path):
     assert lines[0] == "# kind=test"
     assert lines[1] == "x,y"
     assert len(lines) == 4
+
+
+def _cube(d):
+    return np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+
+
+def _hull_cloud(name):
+    """(points, the points whose Qhull hull is the reference).  Jitter of
+    1e-13 lies below the hull's facet tolerance, so near-duplicates must
+    give the facets of the clean cloud."""
+    rng = np.random.default_rng(7)
+    if name.startswith("random"):
+        d, n = {"random-2d": (2, 12), "random-3d": (3, 24),
+                "random-4d": (4, 20)}[name]
+        z = rng.normal(size=(n, d))
+    elif name == "duplicated":
+        z = np.vstack([rng.normal(size=(10, 3))] * 3)
+    elif name == "near-duplicates":
+        clean = rng.normal(size=(10, 3))
+        jitter = clean + rng.uniform(-1e-13, 1e-13, size=clean.shape)
+        return np.vstack([clean, jitter]), clean
+    elif name == "cube":
+        z = _cube(3)
+    elif name == "cube-edges-faces-interior":
+        corners = _cube(3)
+        pairs = (corners[:, None] + corners[None]) / 2
+        z = np.vstack([np.unique(pairs.reshape(-1, 3), axis=0),
+                       rng.uniform(0.2, 0.8, size=(5, 3))])
+    elif name == "tesseract":
+        z = 2.0 * _cube(4) - 1.0
+    elif name == "hexagon-midpoints":
+        angles = np.arange(6) * np.pi / 3
+        corners = np.column_stack([np.cos(angles), np.sin(angles)])
+        midpoints = (corners + np.roll(corners, 1, axis=0)) / 2
+        z = np.vstack([corners, midpoints, [[0.0, 0.0], [0.2, -0.1]]])
+    return z, z
+
+
+def _facet_set(rows):
+    return {tuple(r) for r in np.round(rows, 8) + 0.0}
+
+
+def _qhull_facet_rows(z):
+    from scipy.spatial import ConvexHull
+    eq = ConvexHull(z).equations
+    return np.column_stack([eq[:, :-1], -eq[:, -1]])
+
+
+@pytest.mark.parametrize("name", [
+    "random-2d", "random-3d", "random-4d", "duplicated", "near-duplicates",
+    "cube", "cube-edges-faces-interior", "tesseract", "hexagon-midpoints"])
+def test_hull_facets_match_qhull(name):
+    """The numpy hull has one row per facet of Qhull's hull (Qhull's
+    triangulated facets merged), up to rounding."""
+    z, reference = _hull_cloud(name)
+    rows = polytope._hull_facets(z)
+    np.testing.assert_allclose(np.linalg.norm(rows[:, :-1], axis=1), 1.0)
+    assert len(_facet_set(rows)) == len(rows)
+    assert _facet_set(rows) == _facet_set(_qhull_facet_rows(reference))
+
+
+def test_hull_facets_past_the_subset_threshold_use_qhull(monkeypatch):
+    def no_enumeration(z):
+        raise AssertionError("subsets enumerated past the threshold")
+
+    monkeypatch.setattr(polytope, "_facet_planes", no_enumeration)
+    angles = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    z = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert math.comb(len(z), 2) > polytope._QHULL_SUBSETS
+    rows = polytope._hull_facets(z)
+    assert len(rows) == 600
+    assert _facet_set(rows) == _facet_set(_qhull_facet_rows(z))
