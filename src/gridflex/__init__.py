@@ -13,8 +13,7 @@ from .analysis import (ExportedFlexibilityReport, ExternalPolytope,
                        build_atc_polytope, build_flexibility_set,
                        compare_utilization, export_polytope,
                        exported_flexibility, external_polytope,
-                       max_nodal_deviation, nodal_deviation_report,
-                       polytope_from_block, prepare)
+                       nodal_deviation_report, polytope_from_block, prepare)
 from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outages,
                           assemble_line_outages, assemble_nominal,
                           compute_delta_limits, stack_n1)
@@ -24,11 +23,10 @@ from .network import (AreaView, Bus, Generator, NetworkCase, ReserveConfig,
                       TransmissionLine, case_from_dict, configure_reserves,
                       load_case, partition, scale_load, validate_case)
 from .polytope import (HPolytope, area_2d, bounding_box, contains,
-                       eliminate_variable, is_feasible, project,
-                       remove_redundant, vertices_2d, write_vertices_csv)
+                       is_feasible, project, vertices_2d, write_vertices_csv)
 from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
                           compute_dc_flows, compute_ggdf, compute_lodf,
-                          compute_ptdf, write_matrix_csv)
+                          compute_ptdf)
 
 __version__ = "0.1.0"
 
@@ -45,10 +43,9 @@ __all__ = [
     "build_atc_polytope", "build_flexibility_set", "case_from_dict",
     "compare_utilization", "compute_dc_flows", "compute_delta_limits",
     "compute_ggdf", "compute_lodf", "compute_ptdf", "configure_reserves",
-    "contains", "eliminate_variable", "export_polytope",
-    "exported_flexibility", "external_polytope", "is_feasible", "load_case",
-    "max_nodal_deviation", "nodal_deviation_report", "partition",
-    "polytope_from_block", "prepare", "project", "remove_redundant",
-    "scale_load", "stack_n1", "validate_case",
-    "vertices_2d", "write_matrix_csv", "write_vertices_csv",
+    "contains", "export_polytope", "exported_flexibility",
+    "external_polytope", "is_feasible", "load_case",
+    "nodal_deviation_report", "partition", "polytope_from_block",
+    "prepare", "project", "scale_load", "stack_n1", "validate_case",
+    "vertices_2d", "write_vertices_csv",
 ]

@@ -500,32 +500,6 @@ def _check_modes(modes) -> None:
                         f"are {', '.join(_DEVIATION_MODES)}")
 
 
-def max_nodal_deviation(case: NetworkCase, bus: int, mode: str, *,
-                        imported: ExternalPolytope,
-                        reserve_fraction: float | None = None,
-                        neighbor_reserves: ReserveConfig | None = None,
-                        include_neighbor_security: bool = False):
-    """Largest positive and negative disturbance a neighbor bus can take.
-
-    The disturbance ``delta`` at ``bus`` is balanced by the neighbor's
-    own reserves and by tie deviations restricted to ``imported`` (the
-    exporter's communicated set for modes ``passive``/``active``, or
-    the transfer-capacity polytope for mode ``atc``, where the exporter
-    side is a bare aggregate of unit bands with no network model).
-    Returns ``(max_up, max_dn)`` with ``max_up >= 0 >= max_dn``.
-    """
-    _check_modes((mode,))
-    if neighbor_reserves is None:
-        if reserve_fraction is None:
-            raise GridflexError(
-                "either reserve_fraction or neighbor_reserves is required")
-        neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
-    model = _NeighborModel(Study.build(case, neighbor_reserves, case.neighbor_area),
-                           include_security=include_neighbor_security)
-    (bounds,) = model.solve(mode, imported, (bus,))
-    return bounds
-
-
 @dataclass(frozen=True)
 class NodalDeviationReport:
     """Per-bus deviation bounds for one reserve setting, several modes."""

@@ -145,18 +145,6 @@ class ConstraintBlock:
             "labels": list(self.labels),
         }
 
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "ConstraintBlock":
-        rows = len(raw["b"])
-
-        def as_matrix(data):
-            width = len(data[0]) if data else 0
-            arr = np.array(data, dtype=float)
-            return arr.reshape(rows, width)
-
-        return cls(as_matrix(raw["C_i"]), as_matrix(raw["C_e"]),
-                   np.array(raw["b"], dtype=float), tuple(raw["labels"]))
-
 
 def _drop_vacuous(c_i, c_e, b, labels):
     """Drop rows with (numerically) no coefficients and a nonnegative offset."""

@@ -28,7 +28,6 @@ from .network import (AreaView, Generator, NetworkCase, TransmissionLine,
                       _line_key)
 
 BRIDGE_TOL = 1e-6
-_KCL_TOL = 1e-8
 
 
 def _nodal_ptdf(bus_ids, lines, reference, context="network"):
@@ -333,29 +332,3 @@ def compute_lodf(view: AreaView, outages: tuple[str, ...] | None = None,
         matrix=matrix,
         bridges=tuple(bridges),
     )
-
-
-def verify_nodal_balance(case: NetworkCase, flows: ScheduledFlows,
-                         tol: float = _KCL_TOL) -> float:
-    """Largest nodal mismatch between incident flows and net injection."""
-    lines = {ln.id: ln for ln in case.lines}
-    net = {b.id: -b.load_pu for b in case.buses}
-    for g in case.generators:
-        net[g.bus] += g.p_sched_pu
-    for lid, f in zip(flows.line_ids, flows.p_line_pu):
-        ln = lines[lid]
-        net[ln.from_bus] -= f
-        net[ln.to_bus] += f
-    worst = max(abs(v) for v in net.values())
-    if worst > tol:
-        raise GridflexError(f"nodal balance violated by {worst:.2e} pu")
-    return worst
-
-
-def write_matrix_csv(path: str, row_labels, col_labels, matrix: np.ndarray) -> None:
-    """Dump a labeled matrix as CSV (header row of column labels)."""
-    matrix = np.asarray(matrix)
-    with open(path, "w") as fh:
-        fh.write("," + ",".join(str(c) for c in col_labels) + "\n")
-        for label, row in zip(row_labels, matrix):
-            fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")

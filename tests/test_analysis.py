@@ -7,19 +7,26 @@ from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       compare_utilization, compute_dc_flows,
                       compute_delta_limits, contains, export_polytope,
                       exported_flexibility, external_polytope, is_feasible,
-                      max_nodal_deviation, nodal_deviation_report,
-                      partition, polytope_from_block, prepare, project,
-                      remove_redundant, scale_load, vertices_2d)
+                      nodal_deviation_report, partition, polytope_from_block,
+                      prepare, project, scale_load, vertices_2d)
 from gridflex import analysis, lp, polytope, sensitivity
-from gridflex.polytope import fourier_motzkin
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
 from conftest import triangle_tie_dict
+from fm_reference import fourier_motzkin, remove_redundant
 from gridflex import case_from_dict
 
 
 def _fe_from_poly(poly):
     return ExternalPolytope(poly=poly, provenance={"case_hash": "synthetic"})
+
+
+def _bus_bounds(case, bus, mode, fe, fraction, security=False):
+    """``(max_up, max_dn)`` of one neighbor bus at a reserve fraction."""
+    study = Study.build(case, ReserveConfig(mode="fraction", fraction=fraction),
+                        case.neighbor_area)
+    return _NeighborModel(study, include_security=security).solve(
+        mode, fe, (bus,))[0]
 
 
 def test_active_set_is_the_expected_cube_slice(toy_case):
@@ -222,8 +229,7 @@ def test_max_nodal_deviation_zero_everything():
         g.update(res_up_pu=0.0, res_dn_pu=0.0)
     case = case_from_dict(raw)
     fe = external_polytope(case, FlexibilitySpec("passive", "n"))
-    up, dn = max_nodal_deviation(case, 4, "passive", imported=fe,
-                                 reserve_fraction=0.0)
+    up, dn = _bus_bounds(case, 4, "passive", fe, 0.0)
     assert up == pytest.approx(0.0, abs=1e-8)
     assert dn == pytest.approx(0.0, abs=1e-8)
 
@@ -231,8 +237,7 @@ def test_max_nodal_deviation_zero_everything():
 def test_max_nodal_deviation_hand_solved_minimum(toy_case):
     """Bound is the smaller of local reserves plus the tie-set allowance."""
     fe = external_polytope(toy_case, FlexibilitySpec("active", "n"))
-    up, dn = max_nodal_deviation(toy_case, 2, "active", imported=fe,
-                                 reserve_fraction=0.05)
+    up, dn = _bus_bounds(toy_case, 2, "active", fe, 0.05)
     # 5% of the 1.0 pu setpoint locally, plus 1.0 pu net import through
     # the hexagon (its widest balanced exchange).
     assert up == pytest.approx(1.05, abs=1e-8)
@@ -241,15 +246,9 @@ def test_max_nodal_deviation_hand_solved_minimum(toy_case):
 
 def test_max_nodal_deviation_validates_inputs(toy_case):
     fe = external_polytope(toy_case, FlexibilitySpec("active", "n"))
-    with pytest.raises(GridflexError):
-        max_nodal_deviation(toy_case, 2, "sideways", imported=fe,
-                            reserve_fraction=0.1)
-    with pytest.raises(GridflexError):
-        max_nodal_deviation(toy_case, 2, "active", imported=fe)
     from gridflex import CaseError
     with pytest.raises(CaseError):
-        max_nodal_deviation(toy_case, 1, "active", imported=fe,
-                            reserve_fraction=0.1)
+        _bus_bounds(toy_case, 1, "active", fe, 0.1)
 
 
 def test_nodal_report_modes_and_monotonicity(toy_case):
@@ -271,13 +270,11 @@ def test_nodal_report_modes_and_monotonicity(toy_case):
 def test_passive_mode_respects_balance_hyperplane(toy_case):
     """With zero local reserves the passive bound collapses to zero."""
     fe = external_polytope(toy_case, FlexibilitySpec("passive", "n"))
-    up, dn = max_nodal_deviation(toy_case, 2, "passive", imported=fe,
-                                 reserve_fraction=0.0)
+    up, dn = _bus_bounds(toy_case, 2, "passive", fe, 0.0)
     assert abs(up) <= 1e-8 and abs(dn) <= 1e-8
     # With reserves, the bound equals them exactly: the passive set pins
     # the net tie import to zero, so no help crosses the border.
-    up, dn = max_nodal_deviation(toy_case, 2, "passive", imported=fe,
-                                 reserve_fraction=0.1)
+    up, dn = _bus_bounds(toy_case, 2, "passive", fe, 0.1)
     assert up == pytest.approx(0.1, abs=1e-8)
     assert dn == pytest.approx(-0.1, abs=1e-8)
 
@@ -285,11 +282,9 @@ def test_passive_mode_respects_balance_hyperplane(toy_case):
 def test_neighbor_security_only_tightens(rts_case):
     fe = external_polytope(rts_case, FlexibilitySpec(
         "active", "n", ReserveConfig(mode="full")))
-    base_up, base_dn = max_nodal_deviation(
-        rts_case, 203, "active", imported=fe, reserve_fraction=0.05)
-    sec_up, sec_dn = max_nodal_deviation(
-        rts_case, 203, "active", imported=fe, reserve_fraction=0.05,
-        include_neighbor_security=True)
+    base_up, base_dn = _bus_bounds(rts_case, 203, "active", fe, 0.05)
+    sec_up, sec_dn = _bus_bounds(rts_case, 203, "active", fe, 0.05,
+                                 security=True)
     assert sec_up <= base_up + 1e-9
     assert abs(sec_dn) <= abs(base_dn) + 1e-9
 

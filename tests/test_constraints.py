@@ -294,20 +294,3 @@ def test_dimension_mismatch_rejected(triangle_parts):
     with pytest.raises(GridflexError, match="column counts"):
         stack_n1(nominal, wrong, wrong)
 
-
-def test_block_json_roundtrip(triangle_parts):
-    _, view, flows, limits, ptdf = triangle_parts
-    nominal = assemble_nominal(view, ptdf, limits)
-    back = ConstraintBlock.from_json_dict(nominal.to_json_dict())
-    assert back.labels == nominal.labels
-    assert np.allclose(back.c_i, nominal.c_i)
-    assert np.allclose(back.c_e, nominal.c_e)
-    assert np.allclose(back.b, nominal.b)
-
-
-def test_block_json_roundtrip_without_internal_columns():
-    block = ConstraintBlock(np.zeros((2, 0)), np.array([[1.0], [-1.0]]),
-                            np.array([1.0, 1.0]), ("a", "b"))
-    back = ConstraintBlock.from_json_dict(block.to_json_dict())
-    assert back.n_i == 0 and back.n_e == 1
-    assert back.labels == ("a", "b")

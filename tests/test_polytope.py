@@ -7,11 +7,12 @@ import pytest
 
 from gridflex import (HPolytope, InfeasibleSetError, ProjectionSizeError,
                       UnboundedSetError, area_2d, bounding_box, contains,
-                      eliminate_variable, is_feasible, project,
-                      remove_redundant, vertices_2d, write_vertices_csv)
+                      is_feasible, project, vertices_2d, write_vertices_csv)
 from gridflex import polytope
 from gridflex.lp import maximize
 from gridflex.polytope import normalize_rows
+
+from fm_reference import eliminate_variable, remove_redundant
 
 
 def box(bounds, labels=None):

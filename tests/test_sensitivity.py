@@ -3,10 +3,11 @@ import pytest
 
 from gridflex import (GridflexError, ReserveConfig, case_from_dict,
                       configure_reserves, compute_dc_flows, compute_ggdf,
-                      compute_lodf, compute_ptdf, partition, write_matrix_csv)
-from gridflex.sensitivity import _nodal_ptdf, verify_nodal_balance
+                      compute_lodf, compute_ptdf, partition)
+from gridflex.sensitivity import _nodal_ptdf
 
 from conftest import triangle_tie_dict
+from fm_reference import verify_nodal_balance
 
 
 def test_triangle_ptdf_matches_hand_solution(triangle_tie_case):
@@ -265,15 +266,3 @@ def test_lodf_rebuild_oracle(rts_case):
             assert predicted[k] == pytest.approx(
                 orient[k] * resolved_of[lid], abs=1e-8)
 
-
-def test_matrix_csv_roundtrip(tmp_path, triangle_tie_case):
-    view = partition(triangle_tie_case)
-    ptdf = compute_ptdf(view)
-    path = tmp_path / "ptdf.csv"
-    write_matrix_csv(str(path), ptdf.line_ids,
-                     list(ptdf.source_buses) + list(ptdf.tie_ids), ptdf.matrix)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == ",1,2,3-4"
-    assert len(rows) == 1 + len(ptdf.line_ids)
-    back = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
-    assert np.allclose(back, ptdf.matrix)

@@ -11,8 +11,9 @@ from gridflex import (ExternalPolytope, FlexibilitySpec, HPolytope,
                       UnboundedSetError, area_2d, exported_flexibility,
                       external_polytope, project, vertices_2d)
 from gridflex.lp import maximize
-from gridflex.polytope import (contains, fourier_motzkin, hull_2d,
-                               polygon_area, vertices)
+from gridflex.polytope import contains, hull_2d, polygon_area, vertices
+
+from fm_reference import fourier_motzkin
 
 TOL = 1e-7
 
