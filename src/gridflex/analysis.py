@@ -187,9 +187,8 @@ def polytope_from_block(block: ConstraintBlock, view: AreaView,
     pinned to their schedule, not merely bounded at zero).
     """
     if approach == "active":
-        return HPolytope(np.hstack([block.c_i, block.c_e]), block.b,
-                         view.labels)
-    return HPolytope(block.c_e, block.b, view.external_labels)
+        return HPolytope(block.a, block.b, view.labels)
+    return HPolytope(block.a[:, block.n_i:], block.b, view.external_labels)
 
 
 def build_flexibility_set(case: NetworkCase, spec: FlexibilitySpec) -> HPolytope:
@@ -399,7 +398,7 @@ class _NeighborModel:
         ext = replace(ptdf, h_i=np.hstack(
             [ptdf.h_i] + [ptdf.bus_column(b)[:, None] for b in self.buses]))
         n_int = len(view.internal_lines)
-        nominal = np.hstack([ext.h_i, ext.h_e])[:n_int]
+        nominal = ext.matrix[:n_int]
         a_rows = [nominal, -nominal]
         b_rows = [limits.line_up[:n_int], -limits.line_dn[:n_int]]
         if include_security:
@@ -412,7 +411,7 @@ class _NeighborModel:
                         assemble_line_outages(view, ext, study.lodf, limits,
                                               study.flows, outages=outages)):
                 keep = [not label.endswith(tie_rows) for label in blk.labels]
-                a_rows.append(np.hstack([blk.c_i, blk.c_e])[keep])
+                a_rows.append(blk.a[keep])
                 b_rows.append(blk.b[keep])
         a = np.vstack(a_rows)
         n_b = view.n_i
@@ -498,6 +497,9 @@ def _check_modes(modes) -> None:
     if bad:
         raise CaseError(f"unknown deviation mode '{bad[0]}'; valid modes "
                         f"are {', '.join(_DEVIATION_MODES)}")
+    repeated = [m for k, m in enumerate(modes) if m in modes[:k]]
+    if repeated:
+        raise CaseError(f"deviation mode '{repeated[0]}' is given more than once")
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,11 @@ def _setup(ctx, opts: dict):
 
 def _out_path(ctx, name: str) -> str:
     out_dir = ctx.obj["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CaseError(f"cannot create output directory {out_dir}: "
+                        f"{exc.strerror or exc}")
     return os.path.join(out_dir, name)
 
 

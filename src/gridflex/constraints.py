@@ -2,9 +2,11 @@
 
 Every constraint is linear in the deviation vector ``p = (p_i, p_e)``:
 internal source deviations (per source bus, ascending id) followed by
-tie import deviations.  Blocks carry a label per row recording its
-provenance (line, source bound, balance, or outage), which survives
-serialization and makes infeasibility reports actionable.
+tie import deviations.  A block is one row matrix over both, internal
+columns first; only its JSON record splits it into ``C_i`` and ``C_e``.
+Blocks carry a label per row recording its provenance (line, source
+bound, balance, or outage), which survives serialization and makes
+infeasibility reports actionable.
 
 Security rows follow the band pattern
 
@@ -98,26 +100,25 @@ def compute_delta_limits(case: NetworkCase, view: AreaView,
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """Rows ``c_i p_i + c_e p_e <= b`` with per-row provenance labels."""
+    """Rows ``a p <= b`` over ``p = (p_i, p_e)`` with per-row provenance labels.
 
-    c_i: np.ndarray
-    c_e: np.ndarray
+    The first ``n_i`` columns of ``a`` are the internal deviations, the
+    remaining ``n_e`` the tie imports.
+    """
+
+    a: np.ndarray
     b: np.ndarray
     labels: tuple[str, ...]
+    n_i: int
 
     def __post_init__(self):
-        ci = np.atleast_2d(np.asarray(self.c_i, dtype=float))
-        ce = np.atleast_2d(np.asarray(self.c_e, dtype=float))
+        mat = np.asarray(self.a, dtype=float)
         vec = np.asarray(self.b, dtype=float).reshape(-1)
-        rows = vec.shape[0]
-        if ci.size == 0:
-            ci = ci.reshape(rows, ci.shape[1] if ci.ndim == 2 else 0)
-        if ce.size == 0:
-            ce = ce.reshape(rows, ce.shape[1] if ce.ndim == 2 else 0)
-        if ci.shape[0] != rows or ce.shape[0] != rows or len(self.labels) != rows:
-            raise GridflexError("constraint block row counts disagree")
-        object.__setattr__(self, "c_i", ci)
-        object.__setattr__(self, "c_e", ce)
+        if (mat.ndim != 2 or mat.shape[0] != vec.shape[0]
+                or len(self.labels) != vec.shape[0]
+                or not 0 <= self.n_i <= mat.shape[1]):
+            raise GridflexError("constraint block rows or columns disagree")
+        object.__setattr__(self, "a", mat)
         object.__setattr__(self, "b", vec)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -126,41 +127,42 @@ class ConstraintBlock:
         return self.b.shape[0]
 
     @property
-    def n_i(self) -> int:
-        return self.c_i.shape[1]
-
-    @property
     def n_e(self) -> int:
-        return self.c_e.shape[1]
+        return self.a.shape[1] - self.n_i
 
     @classmethod
     def empty(cls, n_i: int, n_e: int) -> "ConstraintBlock":
-        return cls(np.zeros((0, n_i)), np.zeros((0, n_e)), np.zeros(0), ())
+        return cls(np.zeros((0, n_i + n_e)), np.zeros(0), (), n_i)
 
     def to_json_dict(self) -> dict:
         return {
-            "C_i": [[float(v) for v in row] for row in self.c_i],
-            "C_e": [[float(v) for v in row] for row in self.c_e],
+            "C_i": [[float(v) for v in row] for row in self.a[:, :self.n_i]],
+            "C_e": [[float(v) for v in row] for row in self.a[:, self.n_i:]],
             "b": [float(v) for v in self.b],
             "labels": list(self.labels),
         }
 
 
-def _drop_vacuous(c_i, c_e, b, labels):
-    """Drop rows with (numerically) no coefficients and a nonnegative offset."""
-    stacked = np.hstack([c_i, c_e]) if c_i.shape[1] + c_e.shape[1] else c_i
-    vacuous = (np.max(np.abs(stacked), axis=1, initial=0.0) <= COEF_ZERO_TOL) & (b >= 0)
-    keep = ~vacuous
-    return (c_i[keep], c_e[keep], b[keep],
-            tuple(l for l, k in zip(labels, keep) if k))
-
-
-def _band_rows(m_i, m_e, upper, lower, up_labels, dn_labels):
-    """Emit ``M p <= upper`` and ``-M p <= -lower`` row pairs."""
-    c_i = np.vstack([m_i, -m_i])
-    c_e = np.vstack([m_e, -m_e])
+def _band_rows(m, upper, lower, names, n_i: int) -> ConstraintBlock:
+    """Rows ``M p <= upper`` then ``-M p <= -lower``, labelled ``name:up``
+    and ``name:dn``.  Vacuous rows, with (numerically) no coefficients
+    and a nonnegative offset, are dropped."""
+    a = np.vstack([m, -m])
     b = np.concatenate([upper, -lower])
-    return c_i, c_e, b, tuple(up_labels) + tuple(dn_labels)
+    labels = [f"{n}:up" for n in names] + [f"{n}:dn" for n in names]
+    keep = ~((np.max(np.abs(a), axis=1, initial=0.0) <= COEF_ZERO_TOL) & (b >= 0))
+    return ConstraintBlock(a[keep], b[keep],
+                           tuple(l for l, k in zip(labels, keep) if k), n_i)
+
+
+def _stack(blocks, n_i: int, n_e: int) -> ConstraintBlock:
+    """The rows of ``blocks`` in order, all over the same ``n_i + n_e`` columns."""
+    blocks = [ConstraintBlock.empty(n_i, n_e), *blocks]
+    if any(blk.n_i != n_i or blk.n_e != n_e for blk in blocks):
+        raise GridflexError("constraint blocks have mismatched column counts")
+    return ConstraintBlock(np.vstack([blk.a for blk in blocks]),
+                           np.concatenate([blk.b for blk in blocks]),
+                           tuple(l for blk in blocks for l in blk.labels), n_i)
 
 
 def assemble_nominal(view: AreaView, ptdf: PtdfMatrix,
@@ -171,31 +173,19 @@ def assemble_nominal(view: AreaView, ptdf: PtdfMatrix,
     rows, lower source rows, then the two balance rows encoding
     ``sum(p) = 0`` as an inequality pair.
     """
-    n_i, n_e = view.n_i, view.n_e
-    line_ci, line_ce, line_b, line_labels = _band_rows(
-        ptdf.h_i, ptdf.h_e, limits.line_up, limits.line_dn,
-        (f"N:line:{l}:up" for l in limits.line_ids),
-        (f"N:line:{l}:dn" for l in limits.line_ids))
-
-    bus_upper = np.concatenate([limits.bus_up, limits.ext_up])
-    bus_lower = np.concatenate([limits.bus_dn, limits.ext_dn])
-    eye = np.eye(n_i + n_e)
-    bus_ci, bus_ce, bus_b, bus_labels = _band_rows(
-        eye[:, :n_i], eye[:, n_i:], bus_upper, bus_lower,
-        [f"N:bus:{b}:up" for b in limits.source_buses]
-        + [f"N:ext:{t}:up" for t in limits.tie_ids],
-        [f"N:bus:{b}:dn" for b in limits.source_buses]
-        + [f"N:ext:{t}:dn" for t in limits.tie_ids])
-
-    bal_ci = np.vstack([np.ones((1, n_i)), -np.ones((1, n_i))])
-    bal_ce = np.vstack([np.ones((1, n_e)), -np.ones((1, n_e))])
-    bal_b = np.zeros(2)
-
-    c_i = np.vstack([line_ci, bus_ci, bal_ci])
-    c_e = np.vstack([line_ce, bus_ce, bal_ce])
-    b = np.concatenate([line_b, bus_b, bal_b])
-    labels = line_labels + bus_labels + ("N:balance:up", "N:balance:dn")
-    return ConstraintBlock(*_drop_vacuous(c_i, c_e, b, labels))
+    n_i, n_e = ptdf.h_i.shape[1], view.n_e
+    return _stack([
+        _band_rows(ptdf.matrix, limits.line_up, limits.line_dn,
+                   [f"N:line:{l}" for l in limits.line_ids], n_i),
+        _band_rows(np.eye(n_i + n_e),
+                   np.concatenate([limits.bus_up, limits.ext_up]),
+                   np.concatenate([limits.bus_dn, limits.ext_dn]),
+                   [f"N:bus:{b}" for b in limits.source_buses]
+                   + [f"N:ext:{t}" for t in limits.tie_ids], n_i),
+        # A lower bound of -0.0 keeps both balance offsets at +0.0.
+        _band_rows(np.ones((1, n_i + n_e)), np.zeros(1), np.array([-0.0]),
+                   ["N:balance"], n_i),
+    ], n_i, n_e)
 
 
 def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
@@ -211,24 +201,23 @@ def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
     """
     if units is None:
         units = ggdf.unit_ids
-    blocks = []
+    n_i, h = ptdf.h_i.shape[1], ptdf.matrix
     source_index = {b: j for j, b in enumerate(view.source_buses)}
+    blocks = []
     for uid in units:
         if uid not in ggdf.unit_ids:
             raise GridflexError(f"no outage column for generator {uid}")
         j = ggdf.unit_ids.index(uid)
         g_col = ggdf.matrix[:, j]
         shift = g_col * ggdf.p_gen_pu[j]
-        q_i = ptdf.h_i.copy()
+        q = h.copy()
         bus = ggdf.unit_buses[j]
         if bus in source_index:
-            q_i[:, source_index[bus]] += g_col
-        c_i, c_e, b, labels = _band_rows(
-            q_i, ptdf.h_e, limits.line_up - shift, limits.line_dn + shift,
-            (f"G:{uid}:line:{l}:up" for l in limits.line_ids),
-            (f"G:{uid}:line:{l}:dn" for l in limits.line_ids))
-        blocks.append(_drop_vacuous(c_i, c_e, b, labels))
-    return _concat_blocks(blocks, ptdf.h_i.shape[1], view.n_e)
+            q[:, source_index[bus]] += g_col
+        blocks.append(_band_rows(
+            q, limits.line_up - shift, limits.line_dn + shift,
+            [f"G:{uid}:line:{l}" for l in limits.line_ids], n_i))
+    return _stack(blocks, n_i, view.n_e)
 
 
 def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
@@ -247,9 +236,8 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     if outages is None:
         outages = lodf.outage_ids
     flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
-    n_i = ptdf.h_i.shape[1]
-    n_rows = len(view.line_ids)
-    orient = np.ones(n_rows)
+    n_i, h = ptdf.h_i.shape[1], ptdf.matrix
+    orient = np.ones(len(view.line_ids))
     for j, tie in enumerate(view.ties):
         orient[len(view.internal_lines) + j] = tie.import_sign
     blocks = []
@@ -262,48 +250,21 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
         mask, l_col = lodf.column(oid)
         if oid in view.line_ids:
             k = view.line_ids.index(oid)
-            row = orient[k] * np.concatenate([ptdf.h_i[k], ptdf.h_e[k]])
+            row = orient[k] * h[k]
         else:
-            row = np.zeros(n_i + view.n_e)
-        sched = flow_of[oid]
+            row = np.zeros(h.shape[1])
         r = np.outer(l_col, row)
-        shift = l_col * sched
-        if strict:
-            m_i = ptdf.h_i + r[:, :n_i]
-            m_e = ptdf.h_e + r[:, n_i:]
-            upper = limits.line_up - shift
-            lower = limits.line_dn - shift
-        else:
-            m_i, m_e = r[:, :n_i], r[:, n_i:]
-            upper = limits.line_up - shift
-            lower = limits.line_dn + shift
-        c_i, c_e, b, labels = _band_rows(
-            m_i[mask], m_e[mask], upper[mask], lower[mask],
-            (f"L:{oid}:line:{l}:up" for l, m in zip(limits.line_ids, mask) if m),
-            (f"L:{oid}:line:{l}:dn" for l, m in zip(limits.line_ids, mask) if m))
-        blocks.append(_drop_vacuous(c_i, c_e, b, labels))
-    return _concat_blocks(blocks, n_i, view.n_e)
-
-
-def _concat_blocks(blocks, n_i, n_e) -> ConstraintBlock:
-    if not blocks:
-        return ConstraintBlock.empty(n_i, n_e)
-    c_i = np.vstack([blk[0] for blk in blocks])
-    c_e = np.vstack([blk[1] for blk in blocks])
-    b = np.concatenate([blk[2] for blk in blocks])
-    labels = tuple(l for blk in blocks for l in blk[3])
-    return ConstraintBlock(c_i, c_e, b, labels)
+        shift = l_col * flow_of[oid]
+        m = h + r if strict else r
+        lower = limits.line_dn - shift if strict else limits.line_dn + shift
+        blocks.append(_band_rows(
+            m[mask], (limits.line_up - shift)[mask], lower[mask],
+            [f"L:{oid}:line:{l}" for l, k in zip(limits.line_ids, mask) if k],
+            n_i))
+    return _stack(blocks, n_i, view.n_e)
 
 
 def stack_n1(nominal: ConstraintBlock, gen_block: ConstraintBlock,
              line_block: ConstraintBlock) -> ConstraintBlock:
     """Vertical concatenation: nominal rows, then generator, then line outages."""
-    for blk in (gen_block, line_block):
-        if blk.n_i != nominal.n_i or blk.n_e != nominal.n_e:
-            raise GridflexError("constraint blocks have mismatched column counts")
-    return ConstraintBlock(
-        np.vstack([nominal.c_i, gen_block.c_i, line_block.c_i]),
-        np.vstack([nominal.c_e, gen_block.c_e, line_block.c_e]),
-        np.concatenate([nominal.b, gen_block.b, line_block.b]),
-        nominal.labels + gen_block.labels + line_block.labels,
-    )
+    return _stack((nominal, gen_block, line_block), nominal.n_i, nominal.n_e)

@@ -300,16 +300,22 @@ def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
 def load_case(path: str) -> NetworkCase:
     """Load, parse, and validate a case file.
 
-    Raises :class:`CaseError` for a missing or malformed file and for
-    any violated model invariant, naming the offending element.
+    Raises :class:`CaseError` for a missing, unreadable, non-UTF-8 or
+    malformed file and for any violated model invariant, naming the
+    offending element.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise CaseError(f"case file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CaseError(f"case file is not valid JSON: {path} ({exc})")
+    except UnicodeDecodeError as exc:
+        raise CaseError(f"case file is not UTF-8 text: {path} ({exc.reason} "
+                        f"at byte {exc.start})")
+    except OSError as exc:
+        raise CaseError(f"cannot read case file {path}: {exc.strerror or exc}")
     return case_from_dict(raw, name=str(path))
 
 

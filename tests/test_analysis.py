@@ -323,6 +323,14 @@ def test_report_rejects_unknown_mode_before_solving(toy_case):
                                modes=("passive", "bogus"))
 
 
+def test_report_rejects_a_repeated_mode_before_solving(toy_case, monkeypatch):
+    from gridflex import CaseError, analysis
+    monkeypatch.setattr(analysis.Study, "build", None)  # no study is built
+    with pytest.raises(CaseError, match="'active' is given more than once"):
+        nodal_deviation_report(toy_case, reserve_fraction=0.05,
+                               modes=("active", "active"))
+
+
 def test_unknown_outage_ids_are_case_errors(toy_case):
     from gridflex import CaseError
     for spec in (FlexibilitySpec("active", "n1", gen_outages=("NOPE",)),

@@ -37,6 +37,52 @@ def test_missing_case_file_exits_2(runner):
     assert "not found" in result.output
 
 
+def _assert_one_line_exit_2(result, line):
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [line]
+
+
+def test_case_path_that_is_a_directory_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["validate", "--case", str(tmp_path)])
+    _assert_one_line_exit_2(
+        result, f"error: cannot read case file {tmp_path}: Is a directory")
+
+
+def test_unreadable_case_file_exits_2(runner, monkeypatch):
+    import gridflex.network
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # Patched rather than chmod-ed, because a superuser reads any file.
+    monkeypatch.setattr(gridflex.network, "open", denied, raising=False)
+    result = runner.invoke(main, ["validate", "--case", _toy()])
+    _assert_one_line_exit_2(
+        result, f"error: cannot read case file {_toy()}: Permission denied")
+
+
+def test_case_file_that_is_not_utf8_exits_2(runner, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["validate", "--case", str(bad)])
+    _assert_one_line_exit_2(result, f"error: case file is not UTF-8 text: "
+                                    f"{bad} (invalid start byte at byte 0)")
+
+
+@pytest.mark.parametrize("under, reason", [
+    (False, "File exists"), (True, "Not a directory")],
+    ids=["file", "under-file"])
+def test_out_dir_that_is_a_file_exits_2(runner, tmp_path, under, reason):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if under else blocker
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "metrics", "--case", _toy()])
+    _assert_one_line_exit_2(
+        result, f"error: cannot create output directory {out}: {reason}")
+    assert blocker.read_text() == "keep"
+
+
 def test_malformed_case_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
@@ -67,6 +113,33 @@ def test_build_artifacts(runner, tmp_path):
     assert "config_hash" in poly["meta"] and "case_hash" in poly["meta"]
     block = json.loads((tmp_path / "flexibility_set.json").read_text())
     assert len(block["labels"]) == len(block["b"])
+
+
+def test_build_pins_the_toy_flexibility_set(runner, tmp_path):
+    """One internal column (the source at bus 1), two ties, no internal
+    line and a flat schedule: unit rows on each tie and each source with
+    1 pu margins, then the balance pair at +0.0.  Negated rows carry -0.0
+    coefficients; ``repr`` keeps the sign of every zero."""
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), "build", "--case", _toy()])
+    assert result.exit_code == 0, result.output
+    block = json.loads((tmp_path / "flexibility_set.json").read_text())
+    assert repr(block["C_i"]) == repr([
+        [0.0], [0.0], [-0.0], [-0.0],
+        [1.0], [0.0], [0.0], [-1.0], [-0.0], [-0.0],
+        [1.0], [-1.0]])
+    assert repr(block["C_e"]) == repr([
+        [1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0],
+        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+        [-0.0, -0.0], [-1.0, -0.0], [-0.0, -1.0],
+        [1.0, 1.0], [-1.0, -1.0]])
+    assert repr(block["b"]) == repr([1.0] * 10 + [0.0, 0.0])
+    assert block["labels"] == [
+        "N:line:1-2_1:up", "N:line:1-2_2:up",
+        "N:line:1-2_1:dn", "N:line:1-2_2:dn",
+        "N:bus:1:up", "N:ext:1-2_1:up", "N:ext:1-2_2:up",
+        "N:bus:1:dn", "N:ext:1-2_1:dn", "N:ext:1-2_2:dn",
+        "N:balance:up", "N:balance:dn"]
 
 
 def test_build_passive_stays_balanced(runner, tmp_path):
@@ -142,6 +215,16 @@ def test_maxdev_unknown_mode_exits_2(runner, tmp_path):
     assert "bogus" in result.output
     assert "passive, active, atc" in result.output
     assert not (tmp_path / "max_deviations.csv").exists()
+
+
+def test_maxdev_repeated_mode_exits_2(runner, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "maxdev", "--case", _toy(),
+        "--modes", "active,passive,active"])
+    _assert_rejected(result, out,
+                     "error: deviation mode 'active' is given more than once")
 
 
 @pytest.mark.parametrize("flag", ["--gen-outages", "--line-outages"])

@@ -108,7 +108,7 @@ def test_nominal_rows_match_hand_substitution():
         source_buses=(1,), bus_up=np.array([0.4]), bus_dn=np.array([-0.3]),
         tie_ids=("T",), ext_up=np.array([1.0]), ext_dn=np.array([-1.0]))
     block = assemble_nominal(view, ptdf, limits)
-    rows = dict(zip(block.labels, np.hstack([block.c_i, block.c_e])))
+    rows = dict(zip(block.labels, block.a))
     offs = dict(zip(block.labels, block.b))
     assert np.allclose(rows["N:line:L:up"], [0.5, 0.5])
     assert offs["N:line:L:up"] == pytest.approx(0.8)
@@ -124,7 +124,7 @@ def test_nominal_origin_feasible(triangle_parts):
     block = assemble_nominal(view, ptdf, limits)
     assert np.all(block.b >= 0.0)
     p = np.zeros(view.n_i + view.n_e)
-    assert np.all(np.hstack([block.c_i, block.c_e]) @ p <= block.b)
+    assert np.all(block.a @ p <= block.b)
 
 
 def test_generator_outage_empty_set(triangle_parts):
@@ -140,7 +140,7 @@ def test_generator_outage_dead_column(triangle_parts):
     ggdf = compute_ggdf(view, ptdf)
     block = assemble_generator_outages(view, ptdf, ggdf, limits, units=("g2",))
     col = view.source_buses.index(2)
-    q_rows = [r for l, r in zip(block.labels, block.c_i) if ":up" in l]
+    q_rows = [r for l, r in zip(block.labels, block.a) if ":up" in l]
     # Q column for bus 2 is H(:,2) + G = H(:,2) - H(:,2) = 0.
     assert np.allclose(np.array(q_rows)[:, col], 0.0, atol=1e-12)
 
@@ -171,7 +171,7 @@ def test_generator_outage_rows_equal_direct_band_evaluation(triangle_parts):
     q = np.hstack([ptdf.h_i, ptdf.h_e])
     q[:, view.source_buses.index(2)] += ggdf.matrix[:, j]
     rng = np.random.default_rng(9)
-    rows = np.hstack([block.c_i, block.c_e])
+    rows = block.a
     for _ in range(50):
         p = rng.uniform(-1.5, 1.5, size=view.n_i + view.n_e)
         by_rows = bool(np.all(rows @ p <= block.b + 1e-12))
@@ -242,8 +242,8 @@ def test_strict_mode_keeps_origin_feasible_and_differs(triangle_parts):
     strict = assemble_line_outages(view, ptdf, lodf, limits, flows, strict=True)
     assert np.all(strict.b >= -1e-9)
     label = "L:1-3:line:1-2:up"
-    row_loose = dict(zip(loose.labels, np.hstack([loose.c_i, loose.c_e])))
-    row_strict = dict(zip(strict.labels, np.hstack([strict.c_i, strict.c_e])))
+    row_loose = dict(zip(loose.labels, loose.a))
+    row_strict = dict(zip(strict.labels, strict.a))
     # Strict rows carry the base deviation term on top of the rerouted one.
     k = view.line_ids.index("1-2")
     base = np.concatenate([ptdf.h_i[k], ptdf.h_e[k]])
