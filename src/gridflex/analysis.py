@@ -34,7 +34,7 @@ from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outag
                           compute_delta_limits, stack_n1)
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
-from .lp import maximize, maximize_lazy
+from .lp import maximize_lazy
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
@@ -376,11 +376,10 @@ def compare_utilization(active_fe: ExternalPolytope, atc_fe: ExternalPolytope,
 class _NeighborModel:
     """Per-bus deviation LPs in the neighbor area.
 
-    Variables are ordered ``[delta, p_B..., p_e..., p_A...]`` where
-    ``delta`` is the probed bus disturbance, ``p_B`` the neighbor's own
-    reserve deviations (one per source bus), ``p_e`` the tie imports in
-    the exporter's convention, and ``p_A`` (transfer-capacity mode
-    only) the exporter's aggregate unit deviations.
+    Variables are ``[delta, p_B..., p_e...]``: the probed bus disturbance,
+    the neighbor's own reserve deviations (one per source bus) and the tie
+    imports in the exporter's convention, under one balance equality and
+    the same bounds in every mode, plus the imported facets over ``p_e``.
 
     The neighbor's line rows are built once, over a PTDF whose internal
     columns are extended by one bus column per neighbor bus: the
@@ -393,7 +392,7 @@ class _NeighborModel:
 
     def __init__(self, study: Study, include_security: bool = False):
         view, ptdf, limits = study.view, study.ptdf, study.limits
-        self.study = study
+        self.view = view
         self.buses = tuple(b.id for b in view.buses)
         ext = replace(ptdf, h_i=np.hstack(
             [ptdf.h_i] + [ptdf.bus_column(b)[:, None] for b in self.buses]))
@@ -421,58 +420,36 @@ class _NeighborModel:
         self.b_ub = np.concatenate(b_rows)
         # Working rows of the lazy solves: nominal first, grown by each solve.
         self.working = np.arange(len(self.b_ub)) < 2 * n_int
+        # delta + sum(p_B) = sum(p_e): the bus disturbance is balanced.
+        self.a_eq = np.concatenate([np.ones(1 + n_b), -np.ones(view.n_e)])[None]
+        self.bounds = ([(None, None)] + list(zip(limits.bus_dn, limits.bus_up))
+                       + [(None, None)] * view.n_e)
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
-        """``(max_up, max_dn)`` of every bus in ``buses`` under ``mode``."""
-        view, limits = self.study.view, self.study.limits
+        """``(max_up, max_dn)`` of every bus in ``buses``; ``mode`` only
+        names the imported set in error messages."""
+        view = self.view
         for bus in buses:
             if bus not in self.buses:
                 raise CaseError(f"bus {bus} is not in area {view.area}", bus)
         if tuple(imported.labels) != view.external_labels:
             raise GridflexError("imported polytope labels do not match the ties")
-        n_bus, n_b, n_e = len(self.buses), view.n_i, view.n_e
-        exporter_units = ()
-        if mode == "atc":
-            exporter_units = tuple(sorted(
-                view.case.area_generators(view.neighbor),
-                key=lambda g: (g.bus, g.id)))
-        n_a = len(exporter_units)
-        n_var = 1 + n_b + n_e + n_a
-        a_ub = np.vstack([
-            np.hstack([self.a_ub, np.zeros((self.a_ub.shape[0], n_a))]),
-            np.hstack([np.zeros((imported.poly.nrows, n_bus + n_b)),
-                       imported.poly.A, np.zeros((imported.poly.nrows, n_a))])])
-        b_ub = np.concatenate([self.b_ub, imported.poly.b])
-
-        balance = np.zeros(n_var)
-        balance[:1 + n_b] = 1.0
-        balance[1 + n_b:1 + n_b + n_e] = -1.0
-        a_eq = [balance]
-        if mode == "atc":
-            coupling = np.zeros(n_var)
-            coupling[1 + n_b:] = 1.0
-            a_eq.append(coupling)
-        a_eq = np.array(a_eq)
-        b_eq = np.zeros(len(a_eq))
-        bounds = ([(None, None)]
-                  + list(zip(limits.bus_dn.tolist(), limits.bus_up.tolist()))
-                  + [(None, None)] * n_e
-                  + [(g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu)
-                     for g in exporter_units])
-
+        n_bus, facets = len(self.buses), imported.poly
+        pad = np.zeros((facets.nrows, self.a_ub.shape[1] - view.n_e))
+        a_ub = np.vstack([self.a_ub, np.hstack([pad, facets.A])])
+        b_ub = np.concatenate([self.b_ub, facets.b])
         # The imported facets are always working rows.
-        working = np.concatenate([self.working,
-                                  np.ones(imported.poly.nrows, dtype=bool)])
+        working = np.concatenate([self.working, np.ones(facets.nrows, dtype=bool)])
         rest = list(range(n_bus, a_ub.shape[1]))
         results = []
         for bus in buses:
-            columns = [self.buses.index(bus)] + rest
+            a_bus = a_ub[:, [self.buses.index(bus)] + rest]
             up_dn = []
             for sign in (1.0, -1.0):
-                c = np.zeros(n_var)
+                c = np.zeros(a_bus.shape[1])
                 c[0] = sign
-                res = maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds,
-                                    columns=columns, solve=maximize)
+                res = maximize_lazy(c, a_bus, b_ub, working, self.a_eq,
+                                    np.zeros(1), self.bounds)
                 if res.status == "infeasible":
                     raise InfeasibleSetError(
                         f"deviation study infeasible at bus {bus} (mode {mode})")
@@ -484,6 +461,17 @@ class _NeighborModel:
             results.append(tuple(up_dn))
         self.working = working[:len(self.b_ub)]
         return results
+
+
+def _with_unit_range(exporter: Study, fe: ExternalPolytope) -> ExternalPolytope:
+    """``fe`` plus the exact shadow of the exporter's units on the tie sum:
+    they balance the ties, ``sum(p_e) = -sum(p_A)``, each ``p_A`` inside
+    ``[p_min - p_sched, p_max - p_sched]``."""
+    units, ones = exporter.units, np.ones((1, len(fe.labels)))
+    b = [sum(g.p_sched_pu - g.p_min_pu for g in units),
+         sum(g.p_max_pu - g.p_sched_pu for g in units)]
+    return replace(fe, poly=HPolytope(np.vstack([fe.poly.A, ones, -ones]),
+                                      np.append(fe.poly.b, b), fe.labels))
 
 
 _DEVIATION_MODES = ("passive", "active", "atc")
@@ -542,7 +530,8 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
     The exporter's communicated sets are built once: the passive and
     active sets at the requested security level (exporter reserves
     default to full redispatch), and the transfer-capacity polytope
-    from the case ATC values unless overridden.
+    from the case ATC values unless overridden, with the range of the
+    exporter's units on the tie sum.
     """
     _check_modes(modes)
     neighbor_reserves = ReserveConfig(mode="fraction", fraction=reserve_fraction)
@@ -554,7 +543,8 @@ def nodal_deviation_report(case: NetworkCase, *, reserve_fraction: float,
     exporter = Study.build(case, exporter_reserves)
     imported: dict[str, ExternalPolytope] = {}
     if "atc" in modes:
-        imported["atc"] = exporter.atc_polytope(atc_ab, atc_ba)
+        imported["atc"] = _with_unit_range(exporter,
+                                           exporter.atc_polytope(atc_ab, atc_ba))
     for approach in ("passive", "active"):
         if approach in modes:
             imported[approach] = exporter.export(

@@ -7,6 +7,7 @@ timestamps, so identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import itertools
@@ -141,6 +142,7 @@ def _setup(ctx, opts: dict):
     scale = opts["scale"]
     if not 0.0 < scale <= 1.0:
         raise CaseError(f"--scale must lie in (0, 1], got {scale}")
+    _check_out_dir(ctx.obj["out_dir"])
     case = load_case(opts["case_path"])
     if scale != 1.0:
         case = scale_load(case, scale)
@@ -164,6 +166,18 @@ def _setup(ctx, opts: dict):
     meta = {"config_hash": hashlib.sha256(blob).hexdigest(),
             "case_hash": config["case_hash"], "tool": f"gridflex {__version__}"}
     return case, reserves, spec, meta
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Fail before any work when a file stands at ``out_dir`` or above it,
+    with the error :func:`os.makedirs` would give; creates nothing."""
+    target = path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        code = errno.EEXIST if path == target else errno.ENOTDIR
+        raise CaseError(f"cannot create output directory {out_dir}: "
+                        f"{os.strerror(code)}")
 
 
 def _out_path(ctx, name: str) -> str:
@@ -295,18 +309,19 @@ def maxdev(ctx, **opts):
 @case_options
 @spec_options
 @click.option("--slice-at", default=0.0, show_default=True,
-              help="Fixed coordinate value for 2-D cuts of 3-D sets.")
+              help="Fixed coordinate value for 2-D cuts of 3-tie sets.")
 @click.pass_context
 @_guard
 def plotdata(ctx, **opts):
-    """Vertex CSVs for every tie pair projection and fixed-coordinate cut."""
+    """Vertex CSVs for every tie pair projection and, with three ties,
+    every fixed-coordinate cut."""
     case, _, spec, meta = _setup(ctx, opts)
     slice_at = opts["slice_at"]
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])
     labels = fe.labels
     verts = fe.vertices
-    if len(labels) >= 3:
+    if len(labels) == 3:
         for k, (lo, hi) in enumerate(zip(verts.min(axis=0), verts.max(axis=0))):
             if not lo <= slice_at <= hi:
                 raise CaseError(f"--slice-at {slice_at:g} lies outside the range "
@@ -316,7 +331,7 @@ def plotdata(ctx, **opts):
         write_vertices_csv(path, hull_2d(verts[:, [i, j]]), header=f"{x},{y}",
                            meta={**meta, "kind": "projection"})
         click.echo(f"wrote {path}")
-    if len(labels) >= 3:
+    if len(labels) == 3:
         a, b = fe.poly.A, fe.poly.b
         for k, fixed in enumerate(labels):
             others = labels[:k] + labels[k + 1:]

@@ -237,9 +237,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
         outages = lodf.outage_ids
     flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
     n_i, h = ptdf.h_i.shape[1], ptdf.matrix
-    orient = np.ones(len(view.line_ids))
-    for j, tie in enumerate(view.ties):
-        orient[len(view.internal_lines) + j] = tie.import_sign
+    orient = view.line_signs
     blocks = []
     for oid in outages:
         if oid in lodf.bridges:

@@ -207,6 +207,13 @@ class AreaView:
         return tuple(ln.id for ln in self.internal_lines) + tuple(
             t.line.id for t in self.ties)
 
+    @property
+    def line_signs(self) -> tuple[float, ...]:
+        """Import sign of every row of :attr:`line_ids`: +1 on internal
+        lines, the tie's ``import_sign`` on ties."""
+        return (1.0,) * len(self.internal_lines) + tuple(
+            t.import_sign for t in self.ties)
+
     def area_generators(self) -> tuple[Generator, ...]:
         return self.case.area_generators(self.area)
 

@@ -303,10 +303,7 @@ def compute_lodf(view: AreaView, outages: tuple[str, ...] | None = None,
             raise CaseError("unknown outage line id", oid)
 
     row_pos = np.array([line_pos[lid] for lid in view.line_ids])
-    orient = np.ones(len(view.line_ids))
-    n_int = len(view.internal_lines)
-    for j, tie in enumerate(view.ties):
-        orient[n_int + j] = tie.import_sign
+    orient = np.array(view.line_signs)
 
     kept_cols = []
     kept_ids = []

@@ -359,7 +359,7 @@ def rts_imported(rts_case):
     imported = {approach: exporter.export(FlexibilitySpec(
         approach, "n", ReserveConfig(mode="full")))
         for approach in ("passive", "active")}
-    imported["atc"] = exporter.atc_polytope()
+    imported["atc"] = analysis._with_unit_range(exporter, exporter.atc_polytope())
     return imported
 
 
@@ -371,21 +371,15 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
     study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=fraction),
                         rts_case.neighbor_area)
     model = _NeighborModel(study, include_security=True)
-    n_own, n_cols = model.a_ub.shape
+    n_own, view = len(model.b_ub), study.view
     checked = []
 
-    def lazy_then_full(c, a_ub, b_ub, working, a_eq, b_eq, bounds, columns,
-                       solve):
-        res = lp.maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds,
-                               columns=columns, solve=solve)
-        facets = imported.poly
-        n_a = a_ub.shape[1] - n_cols
-        full_a = np.vstack([
-            np.hstack([model.a_ub, np.zeros((n_own, n_a))]),
-            np.hstack([np.zeros((facets.nrows, n_cols - facets.A.shape[1])),
-                       facets.A, np.zeros((facets.nrows, n_a))])])
-        full_b = np.concatenate([model.b_ub, facets.b])
-        full = lp.maximize(c, full_a[:, columns], full_b, a_eq, b_eq, bounds)
+    def lazy_then_full(c, a_ub, b_ub, working, a_eq, b_eq, bounds):
+        # One shape under every mode: [delta, p_B, p_e] and one balance row.
+        assert np.shape(a_ub)[1] == 1 + view.n_i + view.n_e
+        assert np.shape(a_eq)[0] == 1
+        res = lp.maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds)
+        full = lp.maximize(c, a_ub, b_ub, a_eq, b_eq, bounds)
         assert res.optimal and full.optimal
         assert abs(res.value - full.value) <= 1e-9
         checked.append(working.sum())
@@ -398,14 +392,66 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
     assert max(checked) < n_own
 
 
+@pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
+def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
+    """The two tie-sum rows of the exporter's units give the ATC bounds of
+    the formulation that keeps one column per exporter unit, bounded by
+    ``[p_min - p_sched, p_max - p_sched]``, coupled by
+    ``sum(p_e) + sum(p_A) = 0``, and solved on the model's full stack."""
+    rep = nodal_deviation_report(rts_case, reserve_fraction=0.1, modes=("atc",),
+                                 include_neighbor_security=security)
+    atc = Study.build(rts_case, ReserveConfig(mode="full")).atc_polytope()
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                        rts_case.neighbor_area)
+    model = _NeighborModel(study, include_security=security)
+    buses = (203, 206, 214, 224)
+    got = [rep.bounds(bus, "atc") for bus in buses]
+
+    units = sorted(rts_case.area_generators(rts_case.study_area),
+                   key=lambda g: (g.bus, g.id))
+    limits, n_e = study.limits, study.view.n_e
+    n_bus, n_b, n_a = len(model.buses), study.view.n_i, len(units)
+    n_var = 1 + n_b + n_e + n_a
+    a_eq = np.zeros((2, n_var))
+    a_eq[0, :1 + n_b], a_eq[0, 1 + n_b:1 + n_b + n_e] = 1.0, -1.0
+    a_eq[1, 1 + n_b:] = 1.0
+    bounds = ([(None, None)] + list(zip(limits.bus_dn, limits.bus_up))
+              + [(None, None)] * n_e
+              + [(g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu)
+                 for g in units])
+    b = np.concatenate([model.b_ub, atc.poly.b])
+    for bus, (up, dn) in zip(buses, got):
+        a = np.vstack([
+            np.hstack([model.a_ub[:, [model.buses.index(bus)]],
+                       model.a_ub[:, n_bus:], np.zeros((len(model.b_ub), n_a))]),
+            np.hstack([np.zeros((atc.poly.nrows, 1 + n_b)), atc.poly.A,
+                       np.zeros((atc.poly.nrows, n_a))])])
+        for sign, value in ((1.0, up), (-1.0, dn)):
+            c = np.zeros(n_var)
+            c[0] = sign
+            ref = lp.maximize(c, a, b, a_eq, np.zeros(2), bounds)
+            assert ref.optimal
+            assert value == pytest.approx(sign * ref.value, abs=1e-9), (bus, sign)
+
+
 def _neighbor_lp_rows(case, monkeypatch, include_security):
-    rows = []
+    """Row counts of the LPs the neighbor model's lazy solves issue."""
+    rows, solve, lazy, in_lazy = [], lp.maximize, lp.maximize_lazy, []
 
     def counted(c, a_ub, b_ub, *args, **kwargs):
-        rows.append(np.shape(a_ub)[0])
-        return lp.maximize(c, a_ub, b_ub, *args, **kwargs)
+        if in_lazy:
+            rows.append(np.shape(a_ub)[0])
+        return solve(c, a_ub, b_ub, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "maximize", counted)
+    def neighbor_lazy(*args, **kwargs):
+        in_lazy.append(True)
+        try:
+            return lazy(*args, **kwargs)
+        finally:
+            in_lazy.pop()
+
+    monkeypatch.setattr(lp, "maximize", counted)
+    monkeypatch.setattr(analysis, "maximize_lazy", neighbor_lazy)
     nodal_deviation_report(case, reserve_fraction=0.1,
                            include_neighbor_security=include_security)
     return rows

@@ -83,6 +83,22 @@ def test_out_dir_that_is_a_file_exits_2(runner, tmp_path, under, reason):
     assert blocker.read_text() == "keep"
 
 
+def test_out_dir_under_a_file_exits_2_before_any_lp(runner, tmp_path,
+                                                   monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the output directory was checked")
+
+    monkeypatch.setattr(lp, "maximize", no_lp)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub"
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "maxdev", "--case", _toy(), "--reserve-pct", "0.1"])
+    _assert_one_line_exit_2(
+        result, f"error: cannot create output directory {out}: Not a directory")
+    assert sorted(tmp_path.iterdir()) == [blocker]
+
+
 def test_malformed_case_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
@@ -431,6 +447,36 @@ def test_plotdata_cuts_of_three_tie_set(runner, tmp_path, rts_case):
         assert len(cut) >= 3
         points = np.insert(cut, k, 0.1, axis=1)
         assert fe.poly.contains_points(points, tol=1e-7).all()
+
+
+def test_plotdata_writes_no_cut_of_a_four_tie_set(runner, tmp_path):
+    """A 4-bus ring with one tie per bus: six pair projections, and no cut,
+    because fixing one tie of a 4-tie set leaves a 3-D set."""
+    def line(i, j, limit=10.0):
+        return {"id": f"{i}-{j}", "from_bus": i, "to_bus": j,
+                "reactance_pu": 0.1, "flow_limit_pu": limit}
+
+    raw = {
+        "name": "four-tie-ring", "areas": ["A", "B"], "reference_bus": 1,
+        "buses": [{"id": b, "area_id": "A", "load_pu": 0.0} for b in (1, 2, 3, 4)]
+        + [{"id": b, "area_id": "B", "load_pu": 1.0} for b in (5, 6)],
+        "lines": [line(1, 2), line(2, 3), line(3, 4), line(1, 4), line(5, 6)]
+        + [line(a, b, 1.0) for a, b in ((1, 5), (2, 5), (3, 6), (4, 6))],
+        "generators": [
+            {"id": f"g{b}", "bus": b, "p_sched_pu": 0.5, "p_min_pu": 0.0,
+             "p_max_pu": 1.0, "res_up_pu": 0.3, "res_dn_pu": 0.3}
+            for b in (1, 2, 3, 4)],
+    }
+    case = tmp_path / "four_ties.json"
+    case.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "plotdata", "--case", str(case),
+        "--slice-at", "5"])
+    assert result.exit_code == 0, result.output
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 6
+    assert all(n.startswith("proj_tie_") for n in names)
 
 
 def test_plotdata_slice_outside_a_tie_range_exits_2(runner, tmp_path):

@@ -213,17 +213,6 @@ def test_lazy_optimum_matches_the_full_stack(seed):
         assert np.all(a @ lazy.x - b <= 1e-9)
 
 
-def test_lazy_columns_hold_the_others_at_zero():
-    rng = np.random.default_rng(7)
-    a, b = _bounded_stack(rng, n_var=8)
-    columns = [5, 0, 2, 7]
-    c = rng.normal(size=len(columns))
-    full = maximize(c, a[:, columns], b)
-    lazy = maximize_lazy(c, a, b, _mask(len(b), 30), columns=columns)
-    assert lazy.value == pytest.approx(full.value, abs=1e-9)
-    assert np.all(a[:, columns] @ lazy.x - b <= 1e-9)
-
-
 def test_lazy_with_equalities_and_bounds():
     rng = np.random.default_rng(3)
     a, b = _bounded_stack(rng, n_var=6)
