@@ -22,8 +22,8 @@ from .errors import (CaseError, GridflexError, InfeasibleSetError, LPSolverError
 from .network import (AreaView, Bus, Generator, NetworkCase, ReserveConfig,
                       TransmissionLine, case_from_dict, configure_reserves,
                       load_case, partition, scale_load, validate_case)
-from .polytope import (HPolytope, area_2d, bounding_box, contains,
-                       is_feasible, project, vertices_2d, write_vertices_csv)
+from .polytope import (HPolytope, area_2d, contains, is_feasible, project,
+                       vertices_2d, write_vertices_csv)
 from .sensitivity import (GgdfMatrix, LodfMatrix, PtdfMatrix, ScheduledFlows,
                           compute_dc_flows, compute_ggdf, compute_lodf,
                           compute_ptdf)
@@ -39,8 +39,8 @@ __all__ = [
     "ReserveConfig", "ScheduledFlows", "SingularNetworkError",
     "TransmissionLine", "UnboundedSetError", "UtilizationComparison",
     "area_2d", "assemble_constraints", "assemble_generator_outages",
-    "assemble_line_outages", "assemble_nominal", "bounding_box",
-    "build_atc_polytope", "build_flexibility_set", "case_from_dict",
+    "assemble_line_outages", "assemble_nominal", "build_atc_polytope",
+    "build_flexibility_set", "case_from_dict",
     "compare_utilization", "compute_dc_flows", "compute_delta_limits",
     "compute_ggdf", "compute_lodf", "compute_ptdf", "configure_reserves",
     "contains", "export_polytope", "exported_flexibility",

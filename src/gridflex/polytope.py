@@ -14,7 +14,9 @@ subsets are too many, does it for large point sets).
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
-Every 2-D shadow is the hull of two columns of :func:`vertices`.
+:func:`vertices` proves a set bounded from its rows with the same hull,
+so no LP runs past the projection; every 2-D shadow is the hull of two
+columns of its vertices.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InfeasibleSetError, ProjectionSizeError,
+from .errors import (InfeasibleSetError, LPSolverError, ProjectionSizeError,
                      UnboundedSetError)
 from .lp import FEASIBILITY_TOL, maximize, maximize_lazy
 
@@ -389,39 +391,33 @@ def contains(outer: HPolytope, inner: HPolytope,
     return ContainmentResult(bool(worst <= tol), float(worst), worst_row, witness)
 
 
-def bounding_box(poly: HPolytope):
-    """Tight per-dimension bounds via 2*dim support LPs."""
-    lo = np.full(poly.dim, -np.inf)
-    hi = np.full(poly.dim, np.inf)
-    for j in range(poly.dim):
-        c = np.zeros(poly.dim)
-        c[j] = 1.0
-        res = maximize(c, poly.A, poly.b)
-        if res.status == "infeasible":
-            raise InfeasibleSetError("cannot bound an empty polytope")
-        if res.optimal:
-            hi[j] = res.value
-        res = maximize(-c, poly.A, poly.b)
-        if res.optimal:
-            lo[j] = -res.value
-    return lo, hi
-
-
 def vertices(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
     """Vertices of a bounded polytope: rounded, deduplicated, sorted rows.
 
     Every regular ``dim``-row subsystem of the normalized rows meets in
     one point; the vertices are those points within ``tol`` of all rows.
+    A nonempty set is bounded exactly when its unit normals surround the
+    origin (Gordan's alternative): they span the space and the origin
+    lies strictly inside their hull.  One feasibility LP runs only when
+    no vertex is found, to tell an empty set from an unbounded one.  NaN
+    or infinite data raise :class:`LPSolverError`, as at the LP seam.
     """
-    if not np.all(np.isfinite(bounding_box(poly))):
-        raise UnboundedSetError("polytope is unbounded; no vertex description")
+    if not (np.isfinite(poly.A).all() and np.isfinite(poly.b).all()):
+        raise LPSolverError("polytope data hold a non-finite value")
     p = normalize_rows(poly)
     found = [np.zeros((0, p.dim))]
     for idx in _subsets(p.nrows, p.dim):
         idx = idx[np.abs(np.linalg.det(p.A[idx])) >= 1e-12]
         v = np.linalg.solve(p.A[idx], p.b[idx][..., None])[..., 0]
         found.append(v[np.all(v @ p.A.T <= p.b + tol, axis=1)])
-    return np.unique(np.round(np.vstack(found), _DUP_DECIMALS), axis=0)
+    verts = np.unique(np.round(np.vstack(found), _DUP_DECIMALS), axis=0)
+    if not len(verts) and not is_feasible(p)[0]:
+        raise InfeasibleSetError("cannot enumerate the vertices of an empty polytope")
+    if not (len(verts) and p.nrows > p.dim
+            and np.linalg.matrix_rank(p.A[1:] - p.A[0]) == p.dim
+            and np.all(_hull_facets(p.A)[:, -1] > _HULL_EPS)):
+        raise UnboundedSetError("polytope is unbounded; no vertex description")
+    return verts
 
 
 def hull_2d(points: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseError, GridflexError, SingularNetworkError
+from .errors import CaseError, SingularNetworkError
 from .network import (AreaView, Generator, NetworkCase, TransmissionLine,
                       _line_key)
 
@@ -223,11 +223,11 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
     ``(bus, id)`` order.  The replacement power is spread over the
     remaining area units proportionally to their capacity; an area with
     fewer than two units, or no remaining capacity for some outage,
-    cannot absorb it and raises.
+    cannot absorb it and raises :class:`CaseError`.
     """
     area_units = tuple(sorted(view.area_generators(), key=lambda g: (g.bus, g.id)))
     if len(area_units) < 2:
-        raise GridflexError(
+        raise CaseError(
             f"area {view.area} needs at least two generators for outage factors")
     if units is None:
         units = tuple(g for g in area_units if g.p_sched_pu > 0.0)
@@ -237,7 +237,7 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
         rest = [m for m in area_units if m.id != unit.id]
         total_cap = sum(m.capacity_pu for m in rest)
         if total_cap <= 0.0:
-            raise GridflexError(
+            raise CaseError(
                 f"no remaining capacity to absorb the outage of unit {unit.id}")
         share = {m.id: m.capacity_pu / total_cap for m in rest}
         col = -ptdf.bus_column(unit.bus)

@@ -322,6 +322,24 @@ def test_bad_command_number_exits_2(runner, tmp_path, args, message):
     _assert_rejected(result, out, f"error: {message}")
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--security", "n1"],
+    ["metrics", "--security", "n1", "--gen-outages", "g1"],
+    ["maxdev", "--reserve-pct", "0.2", "--neighbor-security"],
+], ids=["build-n1", "metrics-gen-outage", "maxdev-neighbor-security"])
+def test_generator_outage_in_a_one_unit_area_exits_2(runner, tmp_path,
+                                                     monkeypatch, command):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the case was rejected")
+
+    monkeypatch.setattr(lp, "maximize", no_lp)
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), command[0], "--case", _toy(), *command[1:]])
+    _assert_rejected(result, out, "error: area ")
+
+
 @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
 @pytest.mark.parametrize("flag", ["--gen-outages", "--line-outages",
                                   "--reserve-units"])

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import gridflex
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_public_names_resolve():
@@ -9,3 +14,10 @@ def test_public_names_resolve():
     namespace = {}
     exec("from gridflex import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_benchmark_entry_points_resolve():
+    """Every ``gf.<name>`` the benchmark workloads call is still bound."""
+    names = set(re.findall(r"\bgf\.(\w+)", WORKLOADS.read_text()))
+    assert names
+    assert sorted(n for n in names if not hasattr(gridflex, n)) == []

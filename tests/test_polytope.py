@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gridflex import (HPolytope, InfeasibleSetError, ProjectionSizeError,
-                      UnboundedSetError, area_2d, bounding_box, contains,
-                      is_feasible, project, vertices_2d, write_vertices_csv)
+from gridflex import (GridflexError, HPolytope, InfeasibleSetError,
+                      ProjectionSizeError, UnboundedSetError, area_2d, contains,
+                      exported_flexibility, is_feasible, project, vertices_2d,
+                      write_vertices_csv)
 from gridflex import polytope
+from gridflex.analysis import ExternalPolytope
 from gridflex.lp import maximize
 from gridflex.polytope import normalize_rows
 
@@ -167,8 +169,8 @@ def test_project_reorders_columns():
     p = box([(-1, 1), (-2, 2)])
     r = project(p, ["x1", "x0"])
     assert r.labels == ("x1", "x0")
-    lo, hi = bounding_box(r)
-    assert np.allclose(hi, [2.0, 1.0])
+    verts = vertices_2d(r)
+    assert np.allclose(verts.max(axis=0), [2.0, 1.0])
 
 
 def test_project_row_cap():
@@ -301,6 +303,47 @@ def test_vertices_rejects_unbounded():
                   ("x", "y"))
     with pytest.raises(UnboundedSetError):
         vertices_2d(p)
+
+
+@pytest.mark.parametrize("a, b, error", [
+    ([[1.0, 0.0]], [1.0], UnboundedSetError),
+    ([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]], [3.0, 1.0, 4.0],
+     UnboundedSetError),
+    # Its unit normals lie on one plane off the origin.
+    ([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]],
+     [1.0] * 4, UnboundedSetError),
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 1.0, 1.0],
+     InfeasibleSetError),
+], ids=["half-plane", "cone-with-apex", "pyramid-cone", "empty"])
+def test_vertices_without_a_vertex_description(a, b, error):
+    labels = tuple(f"x{j}" for j in range(len(a[0])))
+    with pytest.raises(error):
+        polytope.vertices(HPolytope(np.array(a), np.array(b), labels))
+
+
+def test_vertices_reject_non_finite_data():
+    p = HPolytope(np.array([[1.0], [-1.0]]), np.array([np.inf, 1.0]), ("x",))
+    with pytest.raises(GridflexError):
+        polytope.vertices(p)
+
+
+def test_vertices_of_a_set_empty_by_less_than_the_tolerance():
+    """``x <= 0``, ``x >= 5e-8`` is empty, but both of its vertices lie
+    within the vertex tolerance of every row, so both are returned."""
+    p = HPolytope(np.array([[1.0], [-1.0]]), np.array([0.0, -5e-8]), ("x",))
+    assert polytope.vertices(p).tolist() == [[0.0], [5e-08]]
+
+
+def test_no_lp_runs_on_a_bounded_nonempty_set(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(polytope, "maximize", no_lp)
+    assert len(vertices_2d(hexagon())) == 6
+    assert area_2d(hexagon()) == pytest.approx(3.0, abs=1e-12)
+    cube = box([(-1, 1)] * 3, ("tie:a", "tie:b", "tie:c"))
+    report = exported_flexibility(ExternalPolytope(cube, {}))
+    assert report.total == pytest.approx(12.0, abs=1e-12)
 
 
 def test_polytope_json_roundtrip():
