@@ -316,6 +316,10 @@ def plotdata(ctx, **opts):
     """Vertex CSVs for every tie pair projection and, with three ties,
     every fixed-coordinate cut."""
     case, _, spec, meta = _setup(ctx, opts)
+    ties = partition(case).ties
+    if len(ties) < 2:
+        raise CaseError("plotdata needs at least two ties; the study area "
+                        f"has one, {ties[0].line.id}")
     slice_at = opts["slice_at"]
     fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
                            row_cap=ctx.obj["row_cap"])

@@ -15,8 +15,8 @@ subsets are too many, does it for large point sets).
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
 :func:`vertices` proves a set bounded from its rows with the same hull,
-so no LP runs past the projection; every 2-D shadow is the hull of two
-columns of its vertices.
+and :func:`contains` reads vertices, so no LP runs past the projection;
+every 2-D shadow is the hull of two columns of its vertices.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .lp import FEASIBILITY_TOL, maximize, maximize_lazy
 REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
 CONTAIN_TOL = 1e-6
+VERTEX_TOL = 1e-7  # slack of a vertex on every row; decides emptiness too
 _ZERO_ROW_TOL = 1e-12
 _DUP_DECIMALS = 9
 _HULL_TOL = 1e-8
@@ -354,7 +355,6 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
 class ContainmentResult:
     contained: bool
     max_violation: float
-    worst_row: int | None
     witness: np.ndarray | None
 
     def __bool__(self) -> bool:
@@ -365,42 +365,37 @@ def contains(outer: HPolytope, inner: HPolytope,
              tol: float = CONTAIN_TOL) -> ContainmentResult:
     """Whether ``inner`` is a subset of ``outer`` (both over the same labels).
 
-    Each face of ``outer`` is pushed as far as ``inner`` allows; the
-    worst overshoot is reported together with the witness point that
-    achieves it.  An empty ``inner`` is an error rather than vacuously
-    contained.
+    No LP runs: a row peaks over a bounded set at a vertex.  The
+    overshoot is the largest excess ``n.v - h`` of a vertex ``v`` of
+    ``inner`` over a unit row ``n.x <= h`` of ``outer`` as written, or
+    0.0; the witness is the first vertex, in :func:`vertices` order, to
+    attain it on the first row that does (``None`` with no excess).
+    ``inner`` must be bounded, and nonempty rather than vacuously inside.
     """
     if outer.labels != inner.labels:
         raise ValueError("containment requires identical dimension labels")
-    feasible, _ = is_feasible(inner)
-    if not feasible:
-        raise InfeasibleSetError("inner polytope is empty")
+    verts = vertices(inner)
     p = normalize_rows(outer)
-    worst = 0.0
-    worst_row = None
-    witness = None
-    for i in range(p.nrows):
-        res = maximize(p.A[i], inner.A, inner.b)
-        if res.status == "unbounded":
-            return ContainmentResult(False, np.inf, i, None)
-        if not res.optimal:
-            raise InfeasibleSetError("inner polytope is empty")
-        violation = res.value - p.b[i]
-        if violation > worst:
-            worst, worst_row, witness = float(violation), i, res.x
-    return ContainmentResult(bool(worst <= tol), float(worst), worst_row, witness)
+    excess = verts @ p.A.T - p.b
+    worst, witness = 0.0, None
+    if excess.max(initial=0.0) > 0:
+        row = np.argmax(excess.max(axis=0))
+        first = np.argmax(excess[:, row])
+        worst, witness = float(excess[first, row]), verts[first]
+    return ContainmentResult(bool(worst <= tol), worst, witness)
 
 
-def vertices(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
+def vertices(poly: HPolytope) -> np.ndarray:
     """Vertices of a bounded polytope: rounded, deduplicated, sorted rows.
 
     Every regular ``dim``-row subsystem of the normalized rows meets in
-    one point; the vertices are those points within ``tol`` of all rows.
-    A nonempty set is bounded exactly when its unit normals surround the
-    origin (Gordan's alternative): they span the space and the origin
-    lies strictly inside their hull.  One feasibility LP runs only when
-    no vertex is found, to tell an empty set from an unbounded one.  NaN
-    or infinite data raise :class:`LPSolverError`, as at the LP seam.
+    one point; the vertices are those points within ``VERTEX_TOL`` of
+    all rows.  A nonempty set is bounded exactly when its unit normals
+    surround the origin (Gordan's alternative): they span the space and
+    the origin lies strictly inside their hull.  One feasibility LP runs
+    only when no vertex is found, to tell an empty set from an unbounded
+    one.  NaN or infinite data raise :class:`LPSolverError`, as at the
+    LP seam.
     """
     if not (np.isfinite(poly.A).all() and np.isfinite(poly.b).all()):
         raise LPSolverError("polytope data hold a non-finite value")
@@ -409,7 +404,7 @@ def vertices(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
     for idx in _subsets(p.nrows, p.dim):
         idx = idx[np.abs(np.linalg.det(p.A[idx])) >= 1e-12]
         v = np.linalg.solve(p.A[idx], p.b[idx][..., None])[..., 0]
-        found.append(v[np.all(v @ p.A.T <= p.b + tol, axis=1)])
+        found.append(v[np.all(v @ p.A.T <= p.b + VERTEX_TOL, axis=1)])
     verts = np.unique(np.round(np.vstack(found), _DUP_DECIMALS), axis=0)
     if not len(verts) and not is_feasible(p)[0]:
         raise InfeasibleSetError("cannot enumerate the vertices of an empty polytope")
@@ -450,11 +445,11 @@ def polygon_area(verts: np.ndarray) -> float:
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def vertices_2d(poly: HPolytope, tol: float = 1e-7) -> np.ndarray:
+def vertices_2d(poly: HPolytope) -> np.ndarray:
     """Vertices of a bounded 2-D polytope in :func:`hull_2d` order."""
     if poly.dim != 2:
         raise ValueError("vertex enumeration is implemented for 2-D only")
-    return hull_2d(vertices(poly, tol))
+    return hull_2d(vertices(poly))
 
 
 def area_2d(poly: HPolytope) -> float:

@@ -96,9 +96,8 @@ def test_export_checks_origin_and_boundedness(toy_case):
 def test_export_and_metric_run_no_lp_past_the_projection(toy_case, monkeypatch):
     """The projection has already proved the set bounded, so the export
     runs no LP past it; neither does the metric, whose vertex enumeration
-    proves boundedness from the rows."""
-    from gridflex import analysis, polytope
-
+    proves boundedness from the rows, nor the transfer-capacity comparison,
+    whose containment reads the vertices."""
     calls = []
     solve, project = polytope.maximize, analysis.project
 
@@ -117,6 +116,10 @@ def test_export_and_metric_run_no_lp_past_the_projection(toy_case, monkeypatch):
     assert calls == []
     report = exported_flexibility(fe)
     assert report.total == pytest.approx(3.0, abs=1e-9)
+    assert calls == []
+    atc_fe = Study.build(toy_case, ReserveConfig()).atc_polytope()
+    comparison = compare_utilization(fe, atc_fe)
+    assert not comparison.active_within_atc and comparison.atc_within_active
     assert calls == []
 
 

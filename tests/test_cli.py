@@ -12,7 +12,7 @@ from gridflex import (CaseError, FlexibilitySpec, HPolytope, NetworkCase,
                       ReserveConfig, case_from_dict, external_polytope, lp)
 from gridflex.cli import main
 
-from conftest import data_path
+from conftest import data_path, triangle_tie_dict
 
 
 @pytest.fixture
@@ -495,6 +495,24 @@ def test_plotdata_writes_no_cut_of_a_four_tie_set(runner, tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert len(names) == 6
     assert all(n.startswith("proj_tie_") for n in names)
+
+
+def test_plotdata_on_a_one_tie_set_exits_2_before_any_lp(runner, tmp_path,
+                                                         monkeypatch):
+    """A one-tie set has no tie pair to project and no cut."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the case was rejected")
+
+    monkeypatch.setattr(lp, "maximize", no_lp)
+    case = tmp_path / "one_tie.json"
+    case.write_text(json.dumps(
+        triangle_tie_dict(atc={"a_to_b_pu": 0.5, "b_to_a_pu": 0.5})))
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "plotdata", "--case", str(case)])
+    _assert_rejected(result, out, "error: plotdata needs at least two ties; "
+                                  "the study area has one, 3-4")
 
 
 def test_plotdata_slice_outside_a_tie_range_exits_2(runner, tmp_path):

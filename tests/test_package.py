@@ -1,7 +1,10 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import gridflex
+from gridflex.analysis import NodalDeviationReport, UtilizationComparison
+from gridflex.polytope import ContainmentResult
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -21,3 +24,14 @@ def test_benchmark_entry_points_resolve():
     names = set(re.findall(r"\bgf\.(\w+)", WORKLOADS.read_text()))
     assert names
     assert sorted(n for n in names if not hasattr(gridflex, n)) == []
+
+
+def test_benchmark_result_fields_exist():
+    """The result fields the benchmark workloads read are still there."""
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert {"contained", "max_violation"} <= names(ContainmentResult)
+    assert {"total_active", "total_atc"} <= names(UtilizationComparison)
+    assert "rows" in names(NodalDeviationReport)
+    assert callable(NodalDeviationReport.bounds)

@@ -249,6 +249,24 @@ def test_contains_rejects_empty_inner():
         contains(box([(-1, 1)]), inner)
 
 
+@pytest.mark.parametrize("rows, witness", [
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0]),
+    ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0])], ids=["x-first", "y-first"])
+def test_contains_witness_is_the_first_vertex_of_the_first_worst_row(rows, witness):
+    """Both rows overshoot by 0.5 at two vertices each: the first row wins,
+    and of its vertices the first in ``vertices`` order."""
+    outer = HPolytope(np.array(rows), np.array([0.5, 0.5]), ("x0", "x1"))
+    r = contains(outer, box([(-1, 1), (-1, 1)]))
+    assert not r.contained and r.max_violation == 0.5
+    assert r.witness.tolist() == witness
+
+
+def test_contains_rejects_unbounded_inner():
+    half = HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]), ("x0", "x1"))
+    with pytest.raises(UnboundedSetError):
+        contains(box([(-1, 1), (-1, 1)]), half)
+
+
 def test_contains_partial_order_on_samples():
     rng = np.random.default_rng(31)
     sizes = sorted(rng.uniform(0.5, 2.0, size=3))

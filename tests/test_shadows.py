@@ -11,7 +11,8 @@ from gridflex import (ExternalPolytope, FlexibilitySpec, HPolytope,
                       UnboundedSetError, area_2d, exported_flexibility,
                       external_polytope, project, vertices_2d)
 from gridflex.lp import maximize
-from gridflex.polytope import contains, hull_2d, polygon_area, vertices
+from gridflex.polytope import (CONTAIN_TOL, contains, hull_2d, normalize_rows,
+                               polygon_area, vertices)
 
 from fm_reference import fourier_motzkin
 
@@ -52,6 +53,46 @@ def assert_same_set(p, q, tol=TOL):
     """Mutual containment of two H-polytopes over the same labels."""
     assert contains(p, q, tol=tol).contained
     assert contains(q, p, tol=tol).contained
+
+
+def lp_overshoot(outer, inner):
+    """Containment by LPs: each unit row of ``outer`` is pushed as far as
+    ``inner`` allows, and the overshoot is the largest excess, or 0.0."""
+    p = normalize_rows(outer)
+    worst = 0.0
+    for n, h in zip(p.A, p.b):
+        res = maximize(n, inner.A, inner.b)
+        assert res.optimal
+        worst = max(worst, res.value - h)
+    return worst
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_contains_matches_the_per_row_lp_oracle(dim):
+    """Random pairs, every third inner set flat, each outer set scaled and
+    carrying two redundant rows: a looser parallel copy and a row sum."""
+    rng = np.random.default_rng(40 + dim)
+    verdicts = set()
+    for trial in range(30):
+        inner = random_polytope(rng, flat=trial % 3 == 0, dim=dim)
+        outer = random_polytope(rng, flat=False, dim=dim)
+        a, b = outer.A, outer.b * rng.uniform(0.8, 3.0)
+        outer = HPolytope(np.vstack([a, 2 * a[0], a[1] + a[-1]]),
+                          np.concatenate([b, [2 * b[0] + 0.5, b[1] + b[-1]]]),
+                          outer.labels)
+        result, worst = contains(outer, inner), lp_overshoot(outer, inner)
+        tag = (dim, trial)
+        assert result.contained == (worst <= CONTAIN_TOL), tag
+        assert result.max_violation == pytest.approx(worst, abs=1e-8), tag
+        verdicts.add(result.contained)
+        if result.witness is None:
+            assert result.max_violation == 0.0, tag
+            continue
+        assert any(np.array_equal(result.witness, v) for v in vertices(inner)), tag
+        p = normalize_rows(outer)
+        assert np.max(p.A @ result.witness - p.b) == pytest.approx(
+            result.max_violation, abs=1e-9), tag
+    assert verdicts == {False, True}
 
 
 @pytest.mark.parametrize("flat", [False, True])
