@@ -17,8 +17,21 @@ loaded from its file, found through scipy's package location, under its own
 name, so ``scipy.optimize`` is never imported unless the fallback runs (a
 later ``import scipy.optimize`` gets the same module); it is checked on the
 first solve against a tiny LP with a known optimum.  If the file is missing,
-fails to load or fails the check, every LP goes through ``linprog``, which
-is imported on its first call.
+fails to load or fails the check (bindings without the plain-array
+``passModel`` fail it), every LP goes through ``linprog``, which is imported
+on its first call.
+
+Every solve reuses one ``_Highs`` instance per bindings module, built on the
+first solve, never at import; the model goes in as plain arrays.  Reuse is
+safe: ``passOptions`` replaces every option the instance holds, and
+``passModel`` clears the previous model, basis and solution, so each LP
+gives the bytes a fresh instance gives it.  A fresh instance and its first
+``run`` cost about as much as a small LP's solve.  When the dual simplex
+ends in ``Unknown`` (seen on a free unbounded LP, with presolve on or off),
+the direct path runs the same model once more with the primal simplex and
+maps that result; it raises :class:`LPSolverError` only when the retry is
+not conclusive either.  The ``linprog`` fallback has no such retry: its
+``highs``, ``highs-ds`` and ``highs-ipm`` all report that LP as status 4.
 
 HiGHS keeps its own feasibility tolerances unless a
 :func:`feasibility_tolerance` block is open in the calling context.
@@ -146,13 +159,16 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
                        ("a_eq", a_eq), ("b_eq", b_eq)):
         if not np.isfinite(data).all():
             raise LPSolverError(f"LP data {name} holds a non-finite value")
-    lims = np.atleast_2d(np.array((None, None) if bounds is None else bounds,
-                                  dtype=float))  # None reads as nan
-    if lims.shape == (1, 2):
-        lims = np.repeat(lims, n, axis=0)
-    if lims.shape != (n, 2):
-        raise LPSolverError("bounds must give one (lo, hi) pair per variable")
-    lims = np.where(np.isnan(lims), [-np.inf, np.inf], lims)
+    if bounds is None:
+        lims = np.full((n, 2), [-np.inf, np.inf])
+    else:
+        lims = np.atleast_2d(np.array(bounds, dtype=float))  # None reads as nan
+        if lims.shape == (1, 2):
+            lims = np.repeat(lims, n, axis=0)
+        if lims.shape != (n, 2):
+            raise LPSolverError(
+                "bounds must give one (lo, hi) pair per variable")
+        lims = np.where(np.isnan(lims), [-np.inf, np.inf], lims)
 
     status, x, fun = (_backend or _choose_backend())(
         -c, a_ub, b_ub, a_eq, b_eq, lims)
@@ -185,13 +201,15 @@ def _solve_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
 
 
 @functools.lru_cache(maxsize=8)
-def _highs_options(tol: float | None):
+def _highs_options(tol: float | None, primal: bool = False):
     """The options ``linprog(method="highs")`` passes by default, plus
-    primal and dual feasibility tolerance ``tol`` unless it is None."""
+    primal and dual feasibility tolerance ``tol`` unless it is None; with
+    ``primal`` the primal simplex replaces the dual."""
+    strategies = _highs.simplex_constants.SimplexStrategy
     opts = _highs.HighsOptions()
     opts.presolve = "on"
-    opts.simplex_strategy = (
-        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    opts.simplex_strategy = (strategies.kSimplexStrategyPrimal if primal
+                             else strategies.kSimplexStrategyDual)
     opts.output_flag = opts.log_to_console = False
     opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
     if tol is not None:
@@ -199,36 +217,56 @@ def _highs_options(tol: float | None):
     return opts
 
 
+_instance = (None, None)  # (bindings module, its _Highs), built on first use
+
+
+def _solver():
+    """The one ``_Highs`` instance of the current bindings module, built on
+    the first solve.  A new module (a test patching ``_highs``) gets a new
+    instance.  Solves share it, so two threads must not solve at once."""
+    global _instance
+    if _instance[0] is not _highs:
+        _instance = (_highs, _highs._Highs())
+    return _instance[1]
+
+
 def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
     """``min c.x`` on a HiGHS model built as ``linprog`` builds it, with
-    ``linprog``'s check of the optimum; returns ``(status, x, fun)``."""
+    ``linprog``'s check of the optimum; returns ``(status, x, fun)``.
+
+    The model goes to :func:`_solver`'s instance as plain arrays, and the
+    options and model are passed afresh on every solve, so nothing carries
+    over from the previous one.  An ``Unknown`` from the dual simplex gets
+    one more run with the primal; the next solve's options restore the
+    dual."""
     n, m_ub, inf = c.size, b_ub.size, _highs.kHighsInf
     # Columns in CSC order with exact zeros dropped, as csc_array stores them.
     a_t = np.vstack([a_ub, a_eq]).T
     col, row = np.nonzero(a_t)
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=start[1:])
-    model = _highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = m_ub + b_eq.size
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = row.astype(np.int32)
-    model.a_matrix_.value_ = a_t[col, row]
-    model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = np.clip(bounds, -inf, inf).T
-    model.row_lower_ = np.concatenate([np.full(m_ub, -inf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    lower, upper = np.clip(bounds, -inf, inf).T
+    # passModel's array overload: sizes, format, sense, offset, costs, column
+    # and row bounds, CSC arrays, integrality.  An empty integrality array
+    # makes it return kError, so every column is marked continuous.
+    model = (n, m_ub + b_eq.size, col.size, _highs.MatrixFormat.kColwise,
+             _highs.ObjSense.kMinimize, 0.0, c, lower, upper,
+             np.concatenate([np.full(m_ub, -inf), b_eq]),
+             np.concatenate([b_ub, b_eq]), start, row.astype(np.int32),
+             a_t[col, row], np.zeros(n, dtype=np.int32))
 
     opts = _OPTIONS.get()
-    solver = _highs._Highs()
+    tol = opts and opts["primal_feasibility_tolerance"]
+    solver = _solver()
     error = _highs.HighsStatus.kError
-    if (solver.passOptions(_highs_options(
-            opts and opts["primal_feasibility_tolerance"])) == error
-            or solver.passModel(model) == error):
-        raise LPSolverError("LP backend rejected the model")
-    solver.run()
-    model_status = solver.getModelStatus()
+    for primal in (False, True):  # the primal simplex only after Unknown
+        if (solver.passOptions(_highs_options(tol, primal)) == error
+                or solver.passModel(*model) == error):
+            raise LPSolverError("LP backend rejected the model")
+        solver.run()
+        model_status = solver.getModelStatus()
+        if model_status != _highs.HighsModelStatus.kUnknown:
+            break
     status = _HIGHS_STATUS.get(model_status)
     if status is None:
         raise LPSolverError(

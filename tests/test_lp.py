@@ -185,6 +185,126 @@ def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch
         assert _run("bounded").optimal
 
 
+@direct_only
+def test_missing_array_overload_falls_back_to_linprog(monkeypatch):
+    """Bindings whose ``passModel`` takes no plain arrays fail the self-check,
+    and every LP goes through ``linprog``."""
+    expected = {case: _run(case) for case in BATTERY}
+    real = lp._highs
+
+    class NoArrays:
+        def __init__(self):
+            self._inner = real._Highs()
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def passModel(self, *args):
+            if len(args) != 1:
+                raise TypeError("passModel(): incompatible function arguments")
+            return self._inner.passModel(*args)
+
+    monkeypatch.setattr(lp, "_highs", types.SimpleNamespace(
+        **{**vars(real), "_Highs": NoArrays}))
+    monkeypatch.setattr(lp, "_backend", None)
+    assert not lp._self_check()
+    for case, ref in expected.items():
+        _same(_run(case), ref)
+    assert lp._backend is lp._solve_linprog
+
+
+def _unknown_on_dual():
+    """A free unbounded LP (5 columns, 10 rows) on which the HiGHS dual
+    simplex ends in ``Unknown``, with presolve on or off."""
+    rng = np.random.default_rng(1)
+    for k in range(575):
+        n = rng.integers(2, 6)
+        m = rng.integers(n + 1, 40)
+        a = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + (0.5 if k % 3 else -0.2)
+        c = rng.normal(size=n) * (k % 5 != 0)
+    return dict(c=c, a_ub=a, b_ub=b)
+
+
+@direct_only
+def test_unknown_is_retried_with_the_primal_simplex(monkeypatch):
+    monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+    data = _unknown_on_dual()
+    assert maximize(**data).status == "unbounded"
+    assert maximize(**{**data, "c": np.zeros(5)}).status == "optimal"
+
+
+def _tolerance_sensitive():
+    """``x0 <= 1`` and ``x0 >= 1 + 5e-7``: infeasible at HiGHS's own
+    tolerance, feasible at 1e-6."""
+    return dict(c=[1.0, 1.0], a_ub=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                    [0.0, -1.0]], b_ub=[1.0, -1.0 - 5e-7, 1.0, 1.0])
+
+
+def _mixed_sequence():
+    """Seeded LPs of every status, with and without equalities and bounds,
+    plus a tie, the ``Unknown`` LP and a tolerance-sensitive one."""
+    rng = np.random.default_rng(19)
+    lps = []
+    for k in range(24):
+        n = int(rng.integers(2, 6))
+        a, b = _bounded_stack(rng, n_rows=int(rng.integers(n + 1, 30)), n_var=n)
+        data = dict(c=rng.normal(size=n), a_ub=a, b_ub=b)
+        if k % 4 == 1:
+            data["a_ub"] = np.vstack([a, np.eye(n)[:1], -np.eye(n)[:1]])
+            data["b_ub"] = np.concatenate([b, [-5.0, -5.0]])
+        elif k % 4 == 2:
+            data["a_ub"][:, 0] = 0.0
+            data["c"] = np.eye(n)[0]
+        elif k % 4 == 3:
+            data.update(a_eq=np.ones((1, n)), b_eq=np.zeros(1),
+                        bounds=[(-0.3, 0.4)] * (n - 1) + [(None, None)])
+        lps.append(data)
+    # max x + y on the unit square cut by x + y <= 1 (twice): every point
+    # of an edge is optimal, and four rows meet at each of its ends.
+    lps.append(dict(c=[1.0, 1.0], a_ub=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0],
+                                        [-1.0, 0.0], [0.0, -1.0], [2.0, 2.0]],
+                    b_ub=[1.0, 1.0, 1.0, 0.0, 0.0, 2.0]))
+    lps += [_unknown_on_dual(), _tolerance_sensitive(), _neighbor_shaped()]
+    return lps
+
+
+def _bits(res):
+    return (res.status, None if res.x is None else res.x.tobytes(),
+            None if res.value is None else np.float64(res.value).tobytes())
+
+
+@direct_only
+def test_the_reused_instance_carries_nothing_between_solves(monkeypatch):
+    """Each LP gives the bytes a fresh ``_Highs()`` gives it, in any order."""
+    monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+    lps = _mixed_sequence()
+    with monkeypatch.context() as fresh:
+        fresh.setattr(lp, "_solver", lambda: lp._highs._Highs())
+        expected = [_bits(maximize(**data)) for data in lps]
+    assert {status for status, _, _ in expected} == {
+        "optimal", "infeasible", "unbounded"}
+    order = np.random.default_rng(5).permutation(len(lps))
+    for indices in (range(len(lps)), order):
+        for i in indices:
+            assert _bits(maximize(**lps[i])) == expected[i], i
+
+
+@direct_only
+def test_options_do_not_outlive_their_block(monkeypatch):
+    monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+    data = _tolerance_sensitive()
+    before = _bits(maximize(**data))
+    assert before[0] == "infeasible"
+    with lp.feasibility_tolerance(1e-6):
+        assert maximize(**data).optimal
+    assert _bits(maximize(**data)) == before
+    for other in _mixed_sequence():
+        with lp.feasibility_tolerance(1e-6):
+            maximize(**other)
+        assert _bits(maximize(**data)) == before
+
+
 @pytest.mark.parametrize("backend", ["direct", "linprog"])
 @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,0 +1,77 @@
+"""Count and digest every LP of one seed-0 pass of each benchmark workload.
+
+    python3 tools/lp_digest.py
+
+Runs one pass of each workload in ``perfbench/workloads.py`` in-process
+(cli-commands too), then acceptance criterion 2 of
+``tests/test_acceptance.py``, recording every ``gridflex.lp.maximize``
+call, also where ``polytope`` and the acceptance module bind the name.
+Prints per workload the LP count and a SHA-256 digest over each call's
+inputs (shapes and bytes), status, ``x`` and value.  Two trees that print
+the same digests solved the same LPs, in the same order, to the same bits.
+Nothing is written under the repository.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / p) for p in ("src", "perfbench", "tests")]
+
+import numpy as np  # noqa: E402
+
+import test_acceptance  # noqa: E402
+import workloads  # noqa: E402
+from gridflex import lp, polytope  # noqa: E402
+
+
+@contextlib.contextmanager
+def _recording(*owners):
+    """Digest every ``maximize`` call in the block; yields ``[count, sha]``."""
+    real, log = lp.maximize, [0, hashlib.sha256()]
+
+    def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None):
+        res = real(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        log[0] += 1
+        for value in (c, a_ub, b_ub, a_eq, b_eq, bounds, res.x, res.value):
+            data = np.asarray(np.nan if value is None else value, dtype=float)
+            log[1].update(repr(data.shape).encode() + data.tobytes())
+        log[1].update(res.status.encode())
+        return res
+
+    owners = (lp, polytope) + owners
+    for owner in owners:
+        owner.maximize = maximize
+    try:
+        yield log
+    finally:
+        for owner in owners:
+            owner.maximize = real
+
+
+def main() -> int:
+    errors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            workload = workloads.make(name, 0, Path(tmp))
+            workload.setup()
+            with _recording() as log:
+                workload.run_pass(lambda unit, _, error: error and errors.append(
+                    f"{name} {unit}: {error}"), in_process=True)
+            print(f"{name:16s} {log[0]:7d} {log[1].hexdigest()}")
+    with _recording(test_acceptance) as log, \
+            contextlib.redirect_stdout(io.StringIO()):
+        test_acceptance.test_criterion_2_projection_oracle()
+    print(f"{'criterion-2':16s} {log[0]:7d} {log[1].hexdigest()}")
+    for error in errors:
+        print(f"failed: {error}")
+    return 1 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
