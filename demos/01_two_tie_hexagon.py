@@ -14,19 +14,20 @@ import importlib.resources as resources
 
 import numpy as np
 
-from gridflex import (FlexibilitySpec, area_2d, build_flexibility_set,
-                      export_polytope, load_case, prepare, vertices_2d)
+from gridflex import (FlexibilitySpec, ReserveConfig, area_2d, load_case,
+                      vertices_2d)
+from gridflex.analysis import Study
 
 case = load_case(str(resources.files("gridflex") / "data" / "toy_hexagon.json"))
 print(f"case '{case.name}': {len(case.buses)} buses, "
       f"{len(case.tie_lines())} ties, balanced at {case.total_load():.1f} pu")
 
+study = Study.build(case, ReserveConfig())
 spec = FlexibilitySpec("active", "n")
-flex = build_flexibility_set(case, spec)
-print(f"\nflexibility set over {flex.labels}: {flex.nrows} rows")
+block = study.assemble(spec)
+print(f"\nflexibility set over {study.view.labels}: {block.nrows} rows")
 
-_, view = prepare(case, spec)
-fe = export_polytope(flex, view, spec)
+fe = study.project_block(block, spec)
 print(f"projected onto {fe.labels}: {fe.poly.nrows} rows")
 
 verts = vertices_2d(fe.poly)
@@ -35,8 +36,7 @@ for v in verts:
     print(f"  ({v[0]:+.3f}, {v[1]:+.3f})")
 print(f"area: {area_2d(fe.poly):.6f} pu^2")
 
-passive = build_flexibility_set(case, FlexibilitySpec("passive", "n"))
-fe_passive = export_polytope(passive, view)
+fe_passive = study.export(FlexibilitySpec("passive", "n"))
 print(f"\npassive set rows: {fe_passive.poly.nrows} "
       "(a segment: without redispatch the two ties can only swap flow)")
 corners = vertices_2d(fe_passive.poly)

@@ -10,10 +10,9 @@ margins, and how that compares to a plain transfer-capacity limit.
 from .analysis import (ExportedFlexibilityReport, ExternalPolytope,
                        FlexibilitySpec, NodalDeviationReport,
                        UtilizationComparison, assemble_constraints,
-                       build_atc_polytope, build_flexibility_set,
-                       compare_utilization, export_polytope,
+                       build_atc_polytope, compare_utilization,
                        exported_flexibility, external_polytope,
-                       nodal_deviation_report, polytope_from_block, prepare)
+                       nodal_deviation_report, prepare)
 from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outages,
                           assemble_line_outages, assemble_nominal,
                           compute_delta_limits, stack_n1)
@@ -40,12 +39,11 @@ __all__ = [
     "TransmissionLine", "UnboundedSetError", "UtilizationComparison",
     "area_2d", "assemble_constraints", "assemble_generator_outages",
     "assemble_line_outages", "assemble_nominal", "build_atc_polytope",
-    "build_flexibility_set", "case_from_dict",
-    "compare_utilization", "compute_dc_flows", "compute_delta_limits",
-    "compute_ggdf", "compute_lodf", "compute_ptdf", "configure_reserves",
-    "contains", "export_polytope", "exported_flexibility",
+    "case_from_dict", "compare_utilization", "compute_dc_flows",
+    "compute_delta_limits", "compute_ggdf", "compute_lodf", "compute_ptdf",
+    "configure_reserves", "contains", "exported_flexibility",
     "external_polytope", "is_feasible", "load_case",
-    "nodal_deviation_report", "partition", "polytope_from_block",
-    "prepare", "project", "scale_load", "stack_n1", "validate_case",
-    "vertices_2d", "write_vertices_csv",
+    "nodal_deviation_report", "partition", "prepare", "project",
+    "scale_load", "stack_n1", "validate_case", "vertices_2d",
+    "write_vertices_csv",
 ]

@@ -29,12 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lp
 from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outages,
                           assemble_line_outages, assemble_nominal,
                           compute_delta_limits, stack_n1)
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
-from .lp import maximize_lazy
 from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
                       configure_reserves, partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
@@ -84,14 +84,16 @@ def prepare(case: NetworkCase, spec: FlexibilitySpec):
 class Study:
     """One area's analysis inputs, built once per (case, reserves, area).
 
-    ``case`` is the reserve-configured case and ``view`` its partition
-    for the area; flows, margins and the PTDF follow from them.  The
-    outage factors are computed on first use: ``ggdf`` covers every
-    unit of the area, ``lodf`` every line of the area.  The flows and
-    the ``lodf`` share one full-network ``shift``.
+    ``case`` is the case configured with ``reserves`` and ``view`` its
+    partition for the area; flows, margins and the PTDF follow from
+    them.  The outage factors are computed on first use: ``ggdf`` covers
+    every unit of the area, ``lodf`` every line of the area.  The flows
+    and the ``lodf`` share one full-network ``shift``.  Every set it
+    exports comes from :meth:`project_block`.
     """
 
     case: NetworkCase
+    reserves: ReserveConfig
     view: AreaView
     flows: ScheduledFlows
     limits: DeltaLimits
@@ -106,7 +108,8 @@ class Study:
         shift = network_shift(configured)
         flows = compute_dc_flows(configured, shift)
         limits = compute_delta_limits(configured, view, flows)
-        return cls(configured, view, flows, limits, compute_ptdf(view), shift)
+        return cls(configured, reserves, view, flows, limits,
+                   compute_ptdf(view), shift)
 
     @property
     def units(self) -> tuple[Generator, ...]:
@@ -128,6 +131,9 @@ class Study:
 
     def assemble(self, spec: FlexibilitySpec) -> ConstraintBlock:
         """Stacked constraint block of the flexibility set ``spec``."""
+        if spec.reserves != self.reserves:
+            raise GridflexError(f"spec reserves {spec.reserves.describe()} differ "
+                                f"from the study's {self.reserves.describe()}")
         for kind, ids, known in (
                 ("units", spec.gen_outages, [g.id for g in self.units]),
                 ("lines", spec.line_outages, self.view.line_ids)):
@@ -154,11 +160,40 @@ class Study:
                 rows=tuple(l for l, v in zip(block.labels, bad) if v))
         return block
 
+    def flexibility_set(self, block: ConstraintBlock,
+                        spec: FlexibilitySpec) -> HPolytope:
+        """Turn the assembled block of ``spec`` into its polytope.
+
+        Active sets span ``(p_i, p_e)``; passive sets keep the same rows
+        and offsets but drop the internal columns (the internal sources
+        are pinned to their schedule, not merely bounded at zero).
+        """
+        view = self.view
+        if spec.approach == "active":
+            return HPolytope(block.a, block.b, view.labels)
+        return HPolytope(block.a[:, block.n_i:], block.b, view.external_labels)
+
+    def project_block(self, block: ConstraintBlock, spec: FlexibilitySpec,
+                      tol: float = REDUNDANCY_TOL,
+                      row_cap: int = DEFAULT_ROW_CAP) -> "ExternalPolytope":
+        """Project the assembled block of ``spec`` onto the tie dimensions.
+
+        :func:`project` proves the result nonempty and bounded, as every
+        well-formed flexibility set is (tie capacities bound it); here it
+        is also checked to contain the origin.
+        """
+        projected = project(self.flexibility_set(block, spec),
+                            self.view.external_labels, tol=tol, row_cap=row_cap)
+        if np.any(projected.b < -_ORIGIN_TOL):
+            raise InfeasibleSetError("projected set does not contain the origin")
+        return ExternalPolytope(poly=projected, provenance={
+            "case_hash": self.case.case_hash(), "spec": spec.describe()})
+
     def export(self, spec: FlexibilitySpec, tol: float = REDUNDANCY_TOL,
                row_cap: int = DEFAULT_ROW_CAP) -> "ExternalPolytope":
         """Build the flexibility set ``spec`` asks for and project it."""
-        flex = polytope_from_block(self.assemble(spec), self.view, spec.approach)
-        return export_polytope(flex, self.view, spec, tol=tol, row_cap=row_cap)
+        return self.project_block(self.assemble(spec), spec, tol=tol,
+                                  row_cap=row_cap)
 
     def atc_polytope(self, atc_ab: float | None = None,
                      atc_ba: float | None = None) -> "ExternalPolytope":
@@ -176,25 +211,6 @@ def assemble_constraints(case: NetworkCase,
     """Stacked constraint block of the requested flexibility set."""
     study = Study.build(case, spec.reserves)
     return study.assemble(spec), study.view
-
-
-def polytope_from_block(block: ConstraintBlock, view: AreaView,
-                        approach: str) -> HPolytope:
-    """Turn a stacked constraint block into the requested polytope.
-
-    Active sets span ``(p_i, p_e)``; passive sets keep the same rows
-    and offsets but drop the internal columns (the internal sources are
-    pinned to their schedule, not merely bounded at zero).
-    """
-    if approach == "active":
-        return HPolytope(block.a, block.b, view.labels)
-    return HPolytope(block.a[:, block.n_i:], block.b, view.external_labels)
-
-
-def build_flexibility_set(case: NetworkCase, spec: FlexibilitySpec) -> HPolytope:
-    """Flexibility set as an H-polytope over ``(p_i, p_e)`` or ``p_e``."""
-    block, view = assemble_constraints(case, spec)
-    return polytope_from_block(block, view, spec.approach)
 
 
 @dataclass(frozen=True)
@@ -219,26 +235,6 @@ class ExternalPolytope:
         record = {"meta": dict(self.provenance)}
         record.update(self.poly.to_json_dict())
         return record
-
-
-def export_polytope(flex_set: HPolytope, view: AreaView,
-                    spec: FlexibilitySpec | None = None,
-                    tol: float = REDUNDANCY_TOL,
-                    row_cap: int = DEFAULT_ROW_CAP) -> ExternalPolytope:
-    """Project a flexibility set onto the tie dimensions.
-
-    :func:`project` proves the result nonempty and bounded, as every
-    well-formed flexibility set is (tie capacities bound it); here it is
-    also checked to contain the origin.
-    """
-    keep = view.external_labels
-    projected = project(flex_set, keep, tol=tol, row_cap=row_cap)
-    if np.any(projected.b < -_ORIGIN_TOL):
-        raise InfeasibleSetError("projected set does not contain the origin")
-    provenance = {"case_hash": view.case.case_hash()}
-    if spec is not None:
-        provenance["spec"] = spec.describe()
-    return ExternalPolytope(poly=projected, provenance=provenance)
 
 
 def external_polytope(case: NetworkCase, spec: FlexibilitySpec,
@@ -448,8 +444,8 @@ class _NeighborModel:
             for sign in (1.0, -1.0):
                 c = np.zeros(a_bus.shape[1])
                 c[0] = sign
-                res = maximize_lazy(c, a_bus, b_ub, working, self.a_eq,
-                                    np.zeros(1), self.bounds)
+                res = lp.maximize_lazy(c, a_bus, b_ub, working, self.a_eq,
+                                       np.zeros(1), self.bounds)
                 if res.status == "infeasible":
                     raise InfeasibleSetError(
                         f"deviation study infeasible at bus {bus} (mode {mode})")

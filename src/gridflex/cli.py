@@ -21,11 +21,8 @@ import click
 import numpy as np
 
 from . import __version__, lp
-from .analysis import (FlexibilitySpec, Study,
-                       assemble_constraints, compare_utilization,
-                       export_polytope, exported_flexibility,
-                       external_polytope, nodal_deviation_report,
-                       polytope_from_block)
+from .analysis import (FlexibilitySpec, Study, compare_utilization,
+                       exported_flexibility, nodal_deviation_report)
 from .errors import CaseError, GridflexError
 from .network import ReserveConfig, load_case, partition, scale_load
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
@@ -208,12 +205,13 @@ def _write_json(ctx, name: str, record: dict, meta: dict) -> str:
 def build(ctx, **opts):
     """Build the flexibility set and its tie-deviation projection."""
     case, _, spec, meta = _setup(ctx, opts)
-    block, view = assemble_constraints(case, spec)
-    flex = polytope_from_block(block, view, spec.approach)
+    study = Study.build(case, spec.reserves)
+    block = study.assemble(spec)
     started = time.perf_counter()
-    fe = export_polytope(flex, view, spec, tol=ctx.obj["redund_tol"],
-                         row_cap=ctx.obj["row_cap"])
+    fe = study.project_block(block, spec, tol=ctx.obj["redund_tol"],
+                             row_cap=ctx.obj["row_cap"])
     elapsed = time.perf_counter() - started
+    flex = study.flexibility_set(block, spec)
 
     set_path = _write_json(ctx, "flexibility_set.json", block.to_json_dict(), meta)
     poly_path = _write_json(ctx, "external_polytope.json", fe.to_json_dict(), meta)
@@ -235,8 +233,8 @@ def build(ctx, **opts):
 def metrics(ctx, **opts):
     """Exported flexibility: pairwise projection areas and their sum."""
     case, _, spec, meta = _setup(ctx, opts)
-    fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
-                           row_cap=ctx.obj["row_cap"])
+    fe = Study.build(case, spec.reserves).export(
+        spec, tol=ctx.obj["redund_tol"], row_cap=ctx.obj["row_cap"])
     report = exported_flexibility(fe)
     path = _write_json(ctx, "exported_flexibility.json", report.to_json_dict(), meta)
     click.echo(f"{'tie pair':<40}{'area (pu^2)':>14}")
@@ -321,8 +319,8 @@ def plotdata(ctx, **opts):
         raise CaseError("plotdata needs at least two ties; the study area "
                         f"has one, {ties[0].line.id}")
     slice_at = opts["slice_at"]
-    fe = external_polytope(case, spec, tol=ctx.obj["redund_tol"],
-                           row_cap=ctx.obj["row_cap"])
+    fe = Study.build(case, spec.reserves).export(
+        spec, tol=ctx.obj["redund_tol"], row_cap=ctx.obj["row_cap"])
     labels = fe.labels
     verts = fe.vertices
     if len(labels) == 3:

@@ -241,7 +241,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     blocks = []
     for oid in outages:
         if oid in lodf.bridges:
-            raise GridflexError(
+            raise CaseError(
                 f"line {oid} is a bridge and cannot be a security outage")
         if oid not in lodf.outage_ids:
             raise GridflexError(f"no outage column for line {oid}")

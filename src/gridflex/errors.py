@@ -49,7 +49,7 @@ class UnboundedSetError(GridflexError):
 
 class ProjectionSizeError(GridflexError):
     """A projection would exceed the configured row budget: its hull has
-    more facets than the cap, or an elimination step more rows.
+    more facets than the cap.
 
     Raising instead of grinding on lets the caller retry with a coarser
     redundancy tolerance or a higher row cap.

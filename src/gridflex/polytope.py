@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp
 from .errors import (InfeasibleSetError, LPSolverError, ProjectionSizeError,
                      UnboundedSetError)
-from .lp import FEASIBILITY_TOL, maximize, maximize_lazy
 
 REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
@@ -82,7 +82,7 @@ class HPolytope:
         except ValueError:
             raise KeyError(f"unknown dimension label '{label}'")
 
-    def contains_points(self, points: np.ndarray, tol: float = FEASIBILITY_TOL):
+    def contains_points(self, points: np.ndarray, tol: float = lp.FEASIBILITY_TOL):
         """Boolean membership for an array of points (last axis = dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all(pts @ self.A.T <= self.b + tol, axis=-1)
@@ -142,7 +142,7 @@ def normalize_rows(poly: HPolytope) -> HPolytope:
 def is_feasible(poly: HPolytope):
     """Whether the set is nonempty, plus a point of it (``None`` when it
     is empty), both from one zero-objective LP."""
-    res = maximize(np.zeros(poly.dim), poly.A, poly.b)
+    res = lp.maximize(np.zeros(poly.dim), poly.A, poly.b)
     return res.optimal, res.x
 
 
@@ -285,7 +285,7 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     def support(normal):
         c = np.zeros(poly.dim)
         c[cols] = normal
-        res = maximize_lazy(c, poly.A, poly.b, working)
+        res = lp.maximize_lazy(c, poly.A, poly.b, working)
         if res.status == "infeasible":
             raise InfeasibleSetError("cannot project an empty polytope")
         if res.status == "unbounded":

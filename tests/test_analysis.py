@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       InfeasibleSetError, ReserveConfig, area_2d,
-                      build_atc_polytope, build_flexibility_set,
-                      compare_utilization, compute_dc_flows,
-                      compute_delta_limits, contains, export_polytope,
+                      build_atc_polytope, compare_utilization,
+                      compute_dc_flows, compute_delta_limits, contains,
                       exported_flexibility, external_polytope, is_feasible,
-                      nodal_deviation_report, partition, polytope_from_block,
-                      prepare, project, scale_load, vertices_2d)
-from gridflex import analysis, lp, polytope, sensitivity
+                      nodal_deviation_report, partition, prepare, project,
+                      scale_load, vertices_2d)
+from gridflex import analysis, lp, sensitivity
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
 from conftest import triangle_tie_dict
@@ -19,6 +20,12 @@ from gridflex import case_from_dict
 
 def _fe_from_poly(poly):
     return ExternalPolytope(poly=poly, provenance={"case_hash": "synthetic"})
+
+
+def _flex(case, spec):
+    """Unprojected flexibility set of ``spec``, as a study exports it."""
+    study = Study.build(case, spec.reserves)
+    return study.flexibility_set(study.assemble(spec), spec)
 
 
 def _bus_bounds(case, bus, mode, fe, fraction, security=False):
@@ -31,7 +38,7 @@ def _bus_bounds(case, bus, mode, fe, fraction, security=False):
 
 def test_active_set_is_the_expected_cube_slice(toy_case):
     """One source with a unit band, two ties with unit margins, balance."""
-    flex = build_flexibility_set(toy_case, FlexibilitySpec("active", "n"))
+    flex = _flex(toy_case, FlexibilitySpec("active", "n"))
     assert flex.labels == ("bus:1", "tie:1-2_1", "tie:1-2_2")
     minimal = remove_redundant(flex)
     expected = HPolytope(
@@ -51,13 +58,12 @@ def test_toy_projection_is_hexagon(toy_case):
 
 
 def test_passive_set_lives_in_balance_hyperplane(toy_case):
-    flex = build_flexibility_set(toy_case, FlexibilitySpec("passive", "n"))
+    flex = _flex(toy_case, FlexibilitySpec("passive", "n"))
     assert flex.labels == ("tie:1-2_1", "tie:1-2_2")
     ok, witness = is_feasible(flex)
     assert ok and abs(witness.sum()) <= 1e-8
     # Both extreme exchanges swap one tie against the other.
-    fe = export_polytope(flex, prepare(toy_case,
-                                       FlexibilitySpec("passive", "n"))[1])
+    fe = external_polytope(toy_case, FlexibilitySpec("passive", "n"))
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     blo, bhi = fe.vertices.min(axis=0), fe.vertices.max(axis=0)
     assert np.allclose(blo, lo, atol=1e-9) and np.allclose(bhi, hi, atol=1e-9)
@@ -80,17 +86,27 @@ def test_infeasible_schedule_reports_rows():
     raw["lines"][0]["flow_limit_pu"] = 0.35
     case = case_from_dict(raw)
     with pytest.raises(InfeasibleSetError) as err:
-        build_flexibility_set(case, FlexibilitySpec("active", "n1"))
+        _flex(case, FlexibilitySpec("active", "n1"))
     assert any("line:1-2" in r for r in err.value.rows)
 
 
 def test_export_checks_origin_and_boundedness(toy_case):
     spec = FlexibilitySpec("active", "n")
-    flex = build_flexibility_set(toy_case, spec)
-    _, view = prepare(toy_case, spec)
-    fe = export_polytope(flex, view, spec)
+    fe = Study.build(toy_case, spec.reserves).export(spec)
     assert fe.provenance["case_hash"] == toy_case.case_hash()
     assert fe.provenance["spec"] == spec.describe()
+
+
+def test_study_refuses_a_spec_for_other_reserves(toy_case):
+    """A set exported by a study carries the study's reserves, so a spec
+    naming other reserves is refused rather than mislabelled."""
+    study = Study.build(toy_case, ReserveConfig(mode="full"))
+    spec = FlexibilitySpec("active", "n", ReserveConfig(mode="file"))
+    with pytest.raises(GridflexError, match="spec reserves file differ from "
+                                            "the study's full"):
+        study.export(spec)
+    fe = study.export(replace(spec, reserves=ReserveConfig(mode="full")))
+    assert fe.provenance["spec"] == "active/n/full"
 
 
 def test_export_and_metric_run_no_lp_past_the_projection(toy_case, monkeypatch):
@@ -99,7 +115,7 @@ def test_export_and_metric_run_no_lp_past_the_projection(toy_case, monkeypatch):
     proves boundedness from the rows, nor the transfer-capacity comparison,
     whose containment reads the vertices."""
     calls = []
-    solve, project = polytope.maximize, analysis.project
+    solve, project = lp.maximize, analysis.project
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -110,7 +126,7 @@ def test_export_and_metric_run_no_lp_past_the_projection(toy_case, monkeypatch):
         calls.clear()
         return result
 
-    monkeypatch.setattr(polytope, "maximize", counted)
+    monkeypatch.setattr(lp, "maximize", counted)
     monkeypatch.setattr(analysis, "project", projected)
     fe = external_polytope(toy_case, FlexibilitySpec("active", "n"))
     assert calls == []
@@ -339,7 +355,7 @@ def test_unknown_outage_ids_are_case_errors(toy_case):
                  FlexibilitySpec("active", "n1", gen_outages=(),
                                  line_outages=("NOPE",))):
         with pytest.raises(CaseError, match="NOPE"):
-            build_flexibility_set(toy_case, spec)
+            _flex(toy_case, spec)
 
 
 def test_report_csv_output(tmp_path, toy_case):
@@ -374,20 +390,20 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
                         rts_case.neighbor_area)
     model = _NeighborModel(study, include_security=True)
     n_own, view = len(model.b_ub), study.view
-    checked = []
+    checked, lazy = [], lp.maximize_lazy
 
     def lazy_then_full(c, a_ub, b_ub, working, a_eq, b_eq, bounds):
         # One shape under every mode: [delta, p_B, p_e] and one balance row.
         assert np.shape(a_ub)[1] == 1 + view.n_i + view.n_e
         assert np.shape(a_eq)[0] == 1
-        res = lp.maximize_lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds)
+        res = lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds)
         full = lp.maximize(c, a_ub, b_ub, a_eq, b_eq, bounds)
         assert res.optimal and full.optimal
         assert abs(res.value - full.value) <= 1e-9
         checked.append(working.sum())
         return res
 
-    monkeypatch.setattr(analysis, "maximize_lazy", lazy_then_full)
+    monkeypatch.setattr(lp, "maximize_lazy", lazy_then_full)
     for mode, imported in rts_imported.items():
         model.solve(mode, imported, model.buses)
     assert len(checked) == 2 * 3 * len(model.buses)
@@ -438,22 +454,22 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
 
 def _neighbor_lp_rows(case, monkeypatch, include_security):
     """Row counts of the LPs the neighbor model's lazy solves issue."""
-    rows, solve, lazy, in_lazy = [], lp.maximize, lp.maximize_lazy, []
+    rows, solve, model_solve, in_model = [], lp.maximize, _NeighborModel.solve, []
 
     def counted(c, a_ub, b_ub, *args, **kwargs):
-        if in_lazy:
+        if in_model:
             rows.append(np.shape(a_ub)[0])
         return solve(c, a_ub, b_ub, *args, **kwargs)
 
-    def neighbor_lazy(*args, **kwargs):
-        in_lazy.append(True)
+    def neighbor_solve(*args, **kwargs):
+        in_model.append(True)
         try:
-            return lazy(*args, **kwargs)
+            return model_solve(*args, **kwargs)
         finally:
-            in_lazy.pop()
+            in_model.pop()
 
     monkeypatch.setattr(lp, "maximize", counted)
-    monkeypatch.setattr(analysis, "maximize_lazy", neighbor_lazy)
+    monkeypatch.setattr(_NeighborModel, "solve", neighbor_solve)
     nodal_deviation_report(case, reserve_fraction=0.1,
                            include_neighbor_security=include_security)
     return rows
@@ -484,7 +500,7 @@ def test_rts_projections_match_fm(rts_case, level):
     for approach in ("passive", "active"):
         for security in ("n", "n1"):
             spec = FlexibilitySpec(approach, security, ReserveConfig(mode="full"))
-            flex = polytope_from_block(study.assemble(spec), study.view, approach)
+            flex = study.flexibility_set(study.assemble(spec), spec)
             hr, fm = project(flex, keep), fourier_motzkin(flex, keep)
             assert contains(hr, fm, tol=1e-7).contained, spec.describe()
             assert contains(fm, hr, tol=1e-7).contained, spec.describe()
@@ -501,7 +517,6 @@ def test_rts_active_n1_export_lps_stay_small(rts_case, monkeypatch):
         return solve(c, a_ub, b_ub, *args, **kwargs)
 
     monkeypatch.setattr(lp, "maximize", counted)
-    monkeypatch.setattr(polytope, "maximize", counted)
     spec = FlexibilitySpec("active", "n1", ReserveConfig(mode="full"))
     external_polytope(rts_case, spec)
     assert len(rows) >= 2 * 3

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from gridflex import (CaseError, FlexibilitySpec, HPolytope, NetworkCase,
                       ReserveConfig, case_from_dict, external_polytope, lp)
+from gridflex.analysis import Study
 from gridflex.cli import main
 
 from conftest import data_path, triangle_tie_dict
@@ -338,6 +339,47 @@ def test_generator_outage_in_a_one_unit_area_exits_2(runner, tmp_path,
     result = runner.invoke(main, [
         "--out-dir", str(out), command[0], "--case", _toy(), *command[1:]])
     _assert_rejected(result, out, "error: area ")
+
+
+def test_a_bridge_named_as_a_line_outage_exits_2_before_any_lp(runner, tmp_path,
+                                                              monkeypatch):
+    """Tie 3-4 is the only link to area B, so it cannot be outaged."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran before the case was rejected")
+
+    monkeypatch.setattr(lp, "maximize", no_lp)
+    case = tmp_path / "triangle.json"
+    case.write_text(json.dumps(triangle_tie_dict()))
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "--out-dir", str(out), "build", "--case", str(case),
+        "--security", "n1", "--line-outages", "3-4"])
+    _assert_rejected(result, out, "error: line 3-4 is a bridge and cannot be "
+                                  "a security outage")
+
+
+@pytest.mark.parametrize("command", ["build", "metrics", "atc", "plotdata"])
+def test_each_command_builds_one_study_and_assembles_once(runner, tmp_path,
+                                                          monkeypatch, command):
+    builds, assembles = [], []
+    build, assemble = Study.build.__func__, Study.assemble
+
+    def counted_build(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    def counted_assemble(self, spec):
+        assembles.append(spec)
+        return assemble(self, spec)
+
+    monkeypatch.setattr(Study, "build", classmethod(counted_build))
+    monkeypatch.setattr(Study, "assemble", counted_assemble)
+    result = runner.invoke(main, [
+        "--out-dir", str(tmp_path), command, "--case", _toy()])
+    assert result.exit_code == 0, result.output
+    assert len(builds) == 1
+    assert len(assembles) == 1
 
 
 @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])

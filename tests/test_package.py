@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -17,6 +19,17 @@ def test_public_names_resolve():
     namespace = {}
     exec("from gridflex import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_only_lp_binds_an_lp_function():
+    """Every LP goes through ``gridflex.lp``: no other module binds an LP
+    function by name, so patching ``gridflex.lp.maximize`` catches them all."""
+    modules = [gridflex] + [importlib.import_module(f"gridflex.{m.name}")
+                            for m in pkgutil.iter_modules(gridflex.__path__)]
+    assert "gridflex.lp" in [m.__name__ for m in modules]
+    binders = sorted(m.__name__ for m in modules if m.__name__ != "gridflex.lp"
+                     and (hasattr(m, "maximize") or hasattr(m, "maximize_lazy")))
+    assert binders == []
 
 
 def test_benchmark_entry_points_resolve():

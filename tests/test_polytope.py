@@ -9,7 +9,7 @@ from gridflex import (GridflexError, HPolytope, InfeasibleSetError,
                       ProjectionSizeError, UnboundedSetError, area_2d, contains,
                       exported_flexibility, is_feasible, project, vertices_2d,
                       write_vertices_csv)
-from gridflex import polytope
+from gridflex import lp, polytope
 from gridflex.analysis import ExternalPolytope
 from gridflex.lp import maximize
 from gridflex.polytope import normalize_rows
@@ -356,7 +356,7 @@ def test_no_lp_runs_on_a_bounded_nonempty_set(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP ran")
 
-    monkeypatch.setattr(polytope, "maximize", no_lp)
+    monkeypatch.setattr(lp, "maximize", no_lp)
     assert len(vertices_2d(hexagon())) == 6
     assert area_2d(hexagon()) == pytest.approx(3.0, abs=1e-12)
     cube = box([(-1, 1)] * 3, ("tie:a", "tie:b", "tie:c"))

@@ -5,7 +5,8 @@
 Runs one pass of each workload in ``perfbench/workloads.py`` in-process
 (cli-commands too), then acceptance criterion 2 of
 ``tests/test_acceptance.py``, recording every ``gridflex.lp.maximize``
-call, also where ``polytope`` and the acceptance module bind the name.
+call, also where the acceptance module binds the name.  The package
+itself calls every LP through ``gridflex.lp``, ``maximize_lazy`` included.
 Prints per workload the LP count and a SHA-256 digest over each call's
 inputs (shapes and bytes), status, ``x`` and value.  Two trees that print
 the same digests solved the same LPs, in the same order, to the same bits.
@@ -27,12 +28,14 @@ import numpy as np  # noqa: E402
 
 import test_acceptance  # noqa: E402
 import workloads  # noqa: E402
-from gridflex import lp, polytope  # noqa: E402
+from gridflex import lp  # noqa: E402
 
 
 @contextlib.contextmanager
 def _recording(*owners):
-    """Digest every ``maximize`` call in the block; yields ``[count, sha]``."""
+    """Digest every ``maximize`` call in the block, made through
+    ``gridflex.lp`` or through an ``owners`` module's own binding of the
+    name; yields ``[count, sha]``."""
     real, log = lp.maximize, [0, hashlib.sha256()]
 
     def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None):
@@ -44,7 +47,7 @@ def _recording(*owners):
         log[1].update(res.status.encode())
         return res
 
-    owners = (lp, polytope) + owners
+    owners = (lp,) + owners
     for owner in owners:
         owner.maximize = maximize
     try:
