@@ -374,16 +374,19 @@ class _NeighborModel:
 
     Variables are ``[delta, p_B..., p_e...]``: the probed bus disturbance,
     the neighbor's own reserve deviations (one per source bus) and the tie
-    imports in the exporter's convention, under one balance equality and
-    the same bounds in every mode, plus the imported facets over ``p_e``.
+    imports in the exporter's convention.  Every constraint is a row, in
+    :func:`assemble_nominal`'s order: the internal line band, the reserve
+    bands, the balance ``delta + sum(p_B) + sum(p_e) = 0`` (ties in the
+    neighbor's convention) as a row pair and the outage bands, then the
+    imported facets over ``p_e`` in every mode.
 
-    The neighbor's line rows are built once, over a PTDF whose internal
-    columns are extended by one bus column per neighbor bus: the
-    ``delta`` column of a probed bus is then a column slice.  Rows cover
-    the internal lines only (tie rows are dropped by their label), the
-    tie columns are flipped into the exporter's convention, and with
-    security the outage bands come from the exporter's assemblers with
-    the line outages pinned to internal lines.  LPs run on lazy working rows.
+    The rows are built once, over a PTDF whose internal columns are
+    extended by one bus column per neighbor bus: the ``delta`` column of
+    a probed bus is then a column slice.  Line rows cover the internal
+    lines only (tie rows are dropped by their label), the tie columns are
+    flipped into the exporter's convention, and with security the outage
+    bands come from the exporter's assemblers with the line outages
+    pinned to internal lines.  LPs run on lazy working rows.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
@@ -392,10 +395,13 @@ class _NeighborModel:
         self.buses = tuple(b.id for b in view.buses)
         ext = replace(ptdf, h_i=np.hstack(
             [ptdf.h_i] + [ptdf.bus_column(b)[:, None] for b in self.buses]))
-        n_int = len(view.internal_lines)
+        n_int, n_b = len(view.internal_lines), view.n_i
         nominal = ext.matrix[:n_int]
-        a_rows = [nominal, -nominal]
-        b_rows = [limits.line_up[:n_int], -limits.line_dn[:n_int]]
+        band = np.eye(nominal.shape[1])[:n_b]
+        balance = np.ones((1, nominal.shape[1]))
+        a_rows = [nominal, -nominal, band, -band, balance, -balance]
+        b_rows = [limits.line_up[:n_int], -limits.line_dn[:n_int],
+                  limits.bus_up, -limits.bus_dn, np.zeros(2)]
         if include_security:
             internal = tuple(ln.id for ln in view.internal_lines)
             tie_rows = tuple(f":line:{t.line.id}:{side}"
@@ -409,17 +415,12 @@ class _NeighborModel:
                 a_rows.append(blk.a[keep])
                 b_rows.append(blk.b[keep])
         a = np.vstack(a_rows)
-        n_b = view.n_i
         # Columns [delta per bus..., p_B..., p_e...], ties flipped.
         self.a_ub = np.hstack([a[:, n_b:ext.h_i.shape[1]], a[:, :n_b],
                                -a[:, ext.h_i.shape[1]:]])
         self.b_ub = np.concatenate(b_rows)
         # Working rows of the lazy solves: nominal first, grown by each solve.
-        self.working = np.arange(len(self.b_ub)) < 2 * n_int
-        # delta + sum(p_B) = sum(p_e): the bus disturbance is balanced.
-        self.a_eq = np.concatenate([np.ones(1 + n_b), -np.ones(view.n_e)])[None]
-        self.bounds = ([(None, None)] + list(zip(limits.bus_dn, limits.bus_up))
-                       + [(None, None)] * view.n_e)
+        self.working = np.arange(len(self.b_ub)) < 2 * (n_int + n_b + 1)
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
         """``(max_up, max_dn)`` of every bus in ``buses``; ``mode`` only
@@ -444,8 +445,7 @@ class _NeighborModel:
             for sign in (1.0, -1.0):
                 c = np.zeros(a_bus.shape[1])
                 c[0] = sign
-                res = lp.maximize_lazy(c, a_bus, b_ub, working, self.a_eq,
-                                       np.zeros(1), self.bounds)
+                res = lp.maximize_lazy(c, a_bus, b_ub, working)
                 if res.status == "infeasible":
                     raise InfeasibleSetError(
                         f"deviation study infeasible at bus {bus} (mode {mode})")

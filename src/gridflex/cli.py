@@ -109,10 +109,10 @@ def spec_options(fn):
 @click.option("--out-dir", default=None, envvar="GRIDFLEX_OUT_DIR",
               show_default="current directory",
               help="Directory for output artifacts (env: GRIDFLEX_OUT_DIR).")
-@click.option("--feas-tol", default=lp.FEASIBILITY_TOL, show_default=True,
+@click.option("--feas-tol", default=1e-7, show_default=True,
               callback=_finite_positive,
-              help="LP feasibility tolerance for this command; the default "
-                   "leaves HiGHS at its own 1e-7.")
+              help="LP primal and dual feasibility tolerance for this "
+                   "command; the default is HiGHS's own.")
 @click.option("--redund-tol", default=REDUNDANCY_TOL, show_default=True,
               callback=_finite_positive,
               help="Slack within which an LP confirms a projection facet.")
@@ -124,8 +124,7 @@ def spec_options(fn):
 @click.pass_context
 def main(ctx, out_dir, feas_tol, redund_tol, contain_tol, row_cap):
     """Flexibility polytopes for two-area DC power systems."""
-    if feas_tol != lp.FEASIBILITY_TOL:
-        ctx.with_resource(lp.feasibility_tolerance(feas_tol))
+    ctx.with_resource(lp.feasibility_tolerance(feas_tol))
     ctx.obj = dict(ctx.params, out_dir=out_dir or ".")
 
 

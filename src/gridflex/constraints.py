@@ -12,8 +12,11 @@ Security rows follow the band pattern
 
     lower + shift <= M p <= upper - shift
 
-for an outage-induced ``shift``, i.e. the outage constant tightens the
-band from both sides.  A stricter variant for line outages that also
+for an outage-induced ``shift``.  The shift is signed: where it is
+positive it narrows the band from both sides, where it is negative it
+widens it (on RTS-96 with full reserves, 474 of the 1,064 nonzero
+generator-outage shifts and 794 of the 1,640 line-outage ones are
+negative).  A stricter variant for line outages that also
 tracks the base-case deviation flow is available behind a flag.
 """
 
@@ -196,8 +199,9 @@ def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
     For outage ``k`` the deviation sensitivities are the PTDF with the
     outaged source's column shifted by the outage distribution column:
     a deviation ordered from the dead unit's bus is redistributed like
-    its lost output.  The outage constant ``G_k * Pgen_k`` tightens both
-    band sides.
+    its lost output.  The outage constant ``G_k * Pgen_k`` moves both
+    band sides by its value: inward where it is positive, outward where
+    it is negative.
     """
     if units is None:
         units = ggdf.unit_ids
@@ -227,7 +231,8 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     """Security rows for every line outage in the candidate set.
 
     Non-strict rows bound the redistributed flow ``L_j (row_j . p)``
-    against the margins tightened by ``L_j * sched_j`` on both sides.
+    against the margins moved by ``L_j * sched_j`` on both sides: inward
+    where that shift is positive, outward where it is negative.
     The strict variant instead bounds the physical post-outage flow,
     adding the base deviation term and flipping the lower-side constant.
     Bridges must have been excluded upstream.  The internal columns are

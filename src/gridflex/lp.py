@@ -1,8 +1,9 @@
 """Thin linear-programming layer.
 
-Everything geometric in this package funnels through :func:`maximize`:
-solve ``max c.x`` subject to ``A x <= b`` with free variables (optional
-equalities and bounds for the deviation programs).
+Every LP in this package has one form, ``max c.x`` subject to
+``A x <= b`` over free variables, and funnels through :func:`maximize`
+(or :func:`maximize_lazy`, which calls it).  Callers write an equality
+as a row pair and a variable's bounds as rows of their own.
 
 The backend is the HiGHS dual simplex that scipy bundles, which is
 deterministic for fixed inputs.  :func:`maximize` hands it the model
@@ -11,8 +12,8 @@ the model ``scipy.optimize.linprog(method="highs")`` would build for the
 same inputs, so both give the same answers; it skips ``linprog``'s
 per-call input cleaning, option checks and sparse conversion, which cost
 more than the solve on the small LPs here.  As ``linprog`` does, it
-rejects an "optimal" point that breaks a bound, a row or an equality by
-more than ``sqrt(1e-9) * 10``.  That module is private to scipy.  It is
+rejects an "optimal" point that breaks a row by more than
+``sqrt(1e-9) * 10``.  That module is private to scipy.  It is
 loaded from its file, found through scipy's package location, under its own
 name, so ``scipy.optimize`` is never imported unless the fallback runs (a
 later ``import scipy.optimize`` gets the same module); it is checked on the
@@ -134,12 +135,10 @@ class LPResult:
         return self.status == "optimal"
 
 
-def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
-    """Solve ``max c.x  s.t.  a_ub x <= b_ub`` (plus optional equalities).
+def maximize(c, a_ub, b_ub) -> LPResult:
+    """Solve ``max c.x  s.t.  a_ub x <= b_ub`` over free variables.
 
-    Variables are free unless ``bounds`` (a list of ``(lo, hi)`` pairs,
-    ``None`` or an infinity meaning unbounded) says otherwise.  Raises
-    :class:`LPSolverError` when the shapes disagree, when the other data
+    Raises :class:`LPSolverError` when the shapes disagree, when the data
     hold NaN or an infinity, or when the backend fails.
     """
     c = np.asarray(c, dtype=float)
@@ -150,31 +149,16 @@ def maximize(c, a_ub, b_ub, a_eq=None, b_eq=None, bounds=None) -> LPResult:
         raise LPSolverError("inequality system shapes disagree")
     if not a_ub.shape[0]:
         a_ub = np.zeros((0, n))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    if (c.ndim != 1 or not n or a_ub.shape[1] != n or a_eq.ndim != 2
-            or a_eq.shape != (b_eq.size, n) or b_eq.ndim != 1):
+    if c.ndim != 1 or not n or a_ub.shape[1] != n:
         raise LPSolverError("LP shapes disagree with the objective")
-    for name, data in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                       ("a_eq", a_eq), ("b_eq", b_eq)):
+    for name, data in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub)):
         if not np.isfinite(data).all():
             raise LPSolverError(f"LP data {name} holds a non-finite value")
-    if bounds is None:
-        lims = np.full((n, 2), [-np.inf, np.inf])
-    else:
-        lims = np.atleast_2d(np.array(bounds, dtype=float))  # None reads as nan
-        if lims.shape == (1, 2):
-            lims = np.repeat(lims, n, axis=0)
-        if lims.shape != (n, 2):
-            raise LPSolverError(
-                "bounds must give one (lo, hi) pair per variable")
-        lims = np.where(np.isnan(lims), [-np.inf, np.inf], lims)
 
-    status, x, fun = (_backend or _choose_backend())(
-        -c, a_ub, b_ub, a_eq, b_eq, lims)
+    status, x, fun = (_backend or _choose_backend())(-c, a_ub, b_ub)
     # HiGHS presolve reports some unbounded LPs as infeasible.
     if status == "infeasible" and np.any(c) and maximize(
-            np.zeros_like(c), a_ub, b_ub, a_eq, b_eq, lims).optimal:
+            np.zeros_like(c), a_ub, b_ub).optimal:
         status = "unbounded"
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
@@ -188,12 +172,12 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _solve_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """``min c.x`` through ``linprog``; returns ``(status, x, fun)``."""
+def _solve_linprog(c, a_ub, b_ub):
+    """``min c.x`` over free variables through ``linprog``, whose own
+    default bounds are ``(0, None)``; returns ``(status, x, fun)``."""
     res = linprog(c, A_ub=a_ub if a_ub.size else None,
                   b_ub=b_ub if a_ub.size else None,
-                  A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                  options=_OPTIONS.get())
+                  bounds=(None, None), method="highs", options=_OPTIONS.get())
     status = _STATUS.get(res.status)
     if status is None:
         raise LPSolverError(f"LP backend failed: {res.message}")
@@ -230,30 +214,29 @@ def _solver():
     return _instance[1]
 
 
-def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """``min c.x`` on a HiGHS model built as ``linprog`` builds it, with
-    ``linprog``'s check of the optimum; returns ``(status, x, fun)``.
+def _solve_highs(c, a_ub, b_ub):
+    """``min c.x`` over free variables on a HiGHS model built as
+    ``linprog`` builds it, with ``linprog``'s check of the optimum;
+    returns ``(status, x, fun)``.
 
     The model goes to :func:`_solver`'s instance as plain arrays, and the
     options and model are passed afresh on every solve, so nothing carries
     over from the previous one.  An ``Unknown`` from the dual simplex gets
     one more run with the primal; the next solve's options restore the
     dual."""
-    n, m_ub, inf = c.size, b_ub.size, _highs.kHighsInf
+    n, m, inf = c.size, b_ub.size, _highs.kHighsInf
     # Columns in CSC order with exact zeros dropped, as csc_array stores them.
-    a_t = np.vstack([a_ub, a_eq]).T
+    a_t = a_ub.T
     col, row = np.nonzero(a_t)
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=start[1:])
-    lower, upper = np.clip(bounds, -inf, inf).T
     # passModel's array overload: sizes, format, sense, offset, costs, column
     # and row bounds, CSC arrays, integrality.  An empty integrality array
     # makes it return kError, so every column is marked continuous.
-    model = (n, m_ub + b_eq.size, col.size, _highs.MatrixFormat.kColwise,
-             _highs.ObjSense.kMinimize, 0.0, c, lower, upper,
-             np.concatenate([np.full(m_ub, -inf), b_eq]),
-             np.concatenate([b_ub, b_eq]), start, row.astype(np.int32),
-             a_t[col, row], np.zeros(n, dtype=np.int32))
+    model = (n, m, col.size, _highs.MatrixFormat.kColwise,
+             _highs.ObjSense.kMinimize, 0.0, c, np.full(n, -inf),
+             np.full(n, inf), np.full(m, -inf), b_ub, start,
+             row.astype(np.int32), a_t[col, row], np.zeros(n, dtype=np.int32))
 
     opts = _OPTIONS.get()
     tol = opts and opts["primal_feasibility_tolerance"]
@@ -276,12 +259,8 @@ def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     fun = solver.getInfo().objective_function_value
-    rows = np.array(solution.row_value)
-    if not (np.isfinite(fun)
-            and np.all(x >= bounds[:, 0] - _CHECK_TOL)
-            and np.all(x <= bounds[:, 1] + _CHECK_TOL)
-            and np.all(b_ub - rows[:m_ub] >= -_CHECK_TOL)
-            and np.all(np.abs(b_eq - rows[m_ub:]) <= _CHECK_TOL)):
+    if not (np.isfinite(fun) and np.all(
+            b_ub - np.array(solution.row_value) >= -_CHECK_TOL)):
         raise LPSolverError(
             "LP backend failed: its optimum breaks the constraints by more "
             f"than {_CHECK_TOL:.2E}")
@@ -290,14 +269,15 @@ def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
 
 def _self_check() -> bool:
     """Whether the direct backend solves a tiny LP to its known optimum:
-    ``max x + 2y + z`` with ``x + y <= 1.5``, ``y <= 1``, ``z = 0.25`` and
-    ``0 <= z <= 1`` has ``x, y, z = 0.5, 1, 0.25`` and value 2.75."""
+    ``max x + 2y + z`` with ``x + y <= 1.5``, ``y <= 1``, ``z = 0.25`` (a
+    row pair) and ``0 <= z <= 1`` has ``x, y, z = 0.5, 1, 0.25`` and value
+    2.75."""
     try:
         status, x, fun = _solve_highs(
             np.array([-1.0, -2.0, -1.0]),
-            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), np.array([1.5, 1.0]),
-            np.array([[0.0, 0.0, 1.0]]), np.array([0.25]),
-            np.array([[-np.inf, np.inf], [-np.inf, np.inf], [0.0, 1.0]]))
+            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+            np.array([1.5, 1.0, 0.25, -0.25, 1.0, 0.0]))
     except (AttributeError, TypeError, ValueError, RuntimeError, LPSolverError):
         return False
     return (status == "optimal" and abs(fun + 2.75) <= 1e-9
@@ -314,8 +294,7 @@ def _choose_backend():
     return _backend
 
 
-def maximize_lazy(c, a_ub, b_ub, working, a_eq=None, b_eq=None,
-                  bounds=None) -> LPResult:
+def maximize_lazy(c, a_ub, b_ub, working) -> LPResult:
     """:func:`maximize` on the rows the boolean mask ``working`` selects,
     adding the worst full-stack rows the optimum violates until it violates
     none (Kelley's cutting planes); ``working`` grows in place.
@@ -323,9 +302,9 @@ def maximize_lazy(c, a_ub, b_ub, working, a_eq=None, b_eq=None,
     solve on the full stack."""
     a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
     while True:
-        res = maximize(c, a_ub[working], b_ub[working], a_eq, b_eq, bounds)
+        res = maximize(c, a_ub[working], b_ub[working])
         if res.status == "unbounded" and not working.all():
-            return maximize(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            return maximize(c, a_ub, b_ub)
         if not res.optimal:
             return res
         excess = np.where(working, -np.inf, a_ub @ res.x - b_ub)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseError, SingularNetworkError
-from .network import (AreaView, Generator, NetworkCase, TransmissionLine,
-                      _line_key)
+from .network import (BALANCE_TOL, AreaView, Generator, NetworkCase,
+                      TransmissionLine, _line_key)
 
 BRIDGE_TOL = 1e-6
 
@@ -174,9 +174,10 @@ def compute_dc_flows(case: NetworkCase,
     the mismatch on the reference bus otherwise.
     """
     imbalance = case.total_generation() - case.total_load()
-    if abs(imbalance) > 1e-6:
+    if abs(imbalance) > BALANCE_TOL:
         raise CaseError(
-            f"dispatch is unbalanced by {imbalance:+.3e} pu; flows undefined")
+            f"dispatch is unbalanced by {imbalance:+.3e} pu (tolerance "
+            f"{BALANCE_TOL:g}); flows undefined")
     shift = network_shift(case) if shift is None else shift
     index = shift.bus_index
     injection = np.zeros(len(index))

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       InfeasibleSetError, ReserveConfig, area_2d,
                       build_atc_polytope, compare_utilization,
                       compute_dc_flows, compute_delta_limits, contains,
                       exported_flexibility, external_polytope, is_feasible,
-                      nodal_deviation_report, partition, prepare, project,
+                      nodal_deviation_report, prepare, project,
                       scale_load, vertices_2d)
 from gridflex import analysis, lp, sensitivity
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
@@ -390,14 +391,26 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
                         rts_case.neighbor_area)
     model = _NeighborModel(study, include_security=True)
     n_own, view = len(model.b_ub), study.view
+    n_int, n_b, n_bus = len(view.internal_lines), view.n_i, len(model.buses)
+    # The line band, the reserve bands and the balance pair.
+    n_nominal = 2 * (n_int + n_b + 1)
+    band = np.hstack([np.zeros((n_b, n_bus)), np.eye(n_b),
+                      np.zeros((n_b, view.n_e))])
+    balance = np.concatenate([np.ones(n_bus + n_b), -np.ones(view.n_e)])
+    np.testing.assert_array_equal(model.a_ub[2 * n_int:n_nominal],
+                                  np.vstack([band, -band, balance, -balance]))
+    np.testing.assert_array_equal(
+        model.b_ub[2 * n_int:n_nominal],
+        np.concatenate([study.limits.bus_up, -study.limits.bus_dn, [0.0, 0.0]]))
     checked, lazy = [], lp.maximize_lazy
 
-    def lazy_then_full(c, a_ub, b_ub, working, a_eq, b_eq, bounds):
-        # One shape under every mode: [delta, p_B, p_e] and one balance row.
+    def lazy_then_full(c, a_ub, b_ub, working):
+        # One shape under every mode: [delta, p_B, p_e], with the nominal
+        # rows working from the first solve.
         assert np.shape(a_ub)[1] == 1 + view.n_i + view.n_e
-        assert np.shape(a_eq)[0] == 1
-        res = lazy(c, a_ub, b_ub, working, a_eq, b_eq, bounds)
-        full = lp.maximize(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        assert working[:n_nominal].all()
+        res = lazy(c, a_ub, b_ub, working)
+        full = lp.maximize(c, a_ub, b_ub)
         assert res.optimal and full.optimal
         assert abs(res.value - full.value) <= 1e-9
         checked.append(working.sum())
@@ -415,7 +428,10 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
     """The two tie-sum rows of the exporter's units give the ATC bounds of
     the formulation that keeps one column per exporter unit, bounded by
     ``[p_min - p_sched, p_max - p_sched]``, coupled by
-    ``sum(p_e) + sum(p_A) = 0``, and solved on the model's full stack."""
+    ``sum(p_e) + sum(p_A) = 0``, and solved by ``linprog`` on the model's
+    line and outage rows with the reserve bands as column bounds and the
+    neighbor's balance as an equality, so the report's row encoding of
+    both is checked too."""
     rep = nodal_deviation_report(rts_case, reserve_fraction=0.1, modes=("atc",),
                                  include_neighbor_security=security)
     atc = Study.build(rts_case, ReserveConfig(mode="full")).atc_polytope()
@@ -429,6 +445,11 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
                    key=lambda g: (g.bus, g.id))
     limits, n_e = study.limits, study.view.n_e
     n_bus, n_b, n_a = len(model.buses), study.view.n_i, len(units)
+    # Drop the reserve bands and the balance pair that follow the line band.
+    n_int = len(study.view.internal_lines)
+    lines = np.ones(len(model.b_ub), dtype=bool)
+    lines[2 * n_int:2 * (n_int + n_b + 1)] = False
+    a_own, b_own = model.a_ub[lines], model.b_ub[lines]
     n_var = 1 + n_b + n_e + n_a
     a_eq = np.zeros((2, n_var))
     a_eq[0, :1 + n_b], a_eq[0, 1 + n_b:1 + n_b + n_e] = 1.0, -1.0
@@ -437,19 +458,20 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
               + [(None, None)] * n_e
               + [(g.p_min_pu - g.p_sched_pu, g.p_max_pu - g.p_sched_pu)
                  for g in units])
-    b = np.concatenate([model.b_ub, atc.poly.b])
+    b = np.concatenate([b_own, atc.poly.b])
     for bus, (up, dn) in zip(buses, got):
         a = np.vstack([
-            np.hstack([model.a_ub[:, [model.buses.index(bus)]],
-                       model.a_ub[:, n_bus:], np.zeros((len(model.b_ub), n_a))]),
+            np.hstack([a_own[:, [model.buses.index(bus)]],
+                       a_own[:, n_bus:], np.zeros((len(b_own), n_a))]),
             np.hstack([np.zeros((atc.poly.nrows, 1 + n_b)), atc.poly.A,
                        np.zeros((atc.poly.nrows, n_a))])])
         for sign, value in ((1.0, up), (-1.0, dn)):
             c = np.zeros(n_var)
             c[0] = sign
-            ref = lp.maximize(c, a, b, a_eq, np.zeros(2), bounds)
-            assert ref.optimal
-            assert value == pytest.approx(sign * ref.value, abs=1e-9), (bus, sign)
+            ref = linprog(-c, A_ub=a, b_ub=b, A_eq=a_eq, b_eq=np.zeros(2),
+                          bounds=bounds, method="highs")
+            assert ref.status == 0
+            assert value == pytest.approx(-sign * ref.fun, abs=1e-9), (bus, sign)
 
 
 def _neighbor_lp_rows(case, monkeypatch, include_security):
@@ -484,8 +506,10 @@ def test_neighbor_security_lps_stay_small(rts_case, monkeypatch):
 def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
                                                      monkeypatch):
     rows = _neighbor_lp_rows(rts_case, monkeypatch, False)
-    n_int = len(partition(rts_case, rts_case.neighbor_area).internal_lines)
-    expected = [2 * n_int + rts_imported[mode].poly.nrows
+    view = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                       rts_case.neighbor_area).view
+    n_int, n_b = len(view.internal_lines), view.n_i
+    expected = [2 * n_int + 2 * n_b + 2 + rts_imported[mode].poly.nrows
                 for mode in ("passive", "active", "atc")
                 for _ in range(24 * 2)]  # buses × directions
     assert rows == expected

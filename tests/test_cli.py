@@ -272,13 +272,32 @@ def test_config_hash_covers_tolerances(runner, tmp_path):
 def test_feas_tol_stays_inside_one_invocation(runner, tmp_path):
     # x <= -1e-5 and x >= 0 is feasible only within a loose tolerance.
     def solve():
-        return lp.maximize([0.0], [[1.0]], [-1e-5], bounds=[(0.0, None)]).status
+        return lp.maximize([0.0], [[1.0], [-1.0]], [-1e-5, 0.0]).status
 
     with lp.feasibility_tolerance(1e-3):
         assert solve() == "optimal"
     assert solve() == "infeasible"
     _config_hash(runner, tmp_path, "--feas-tol", "1e-3")
     assert solve() == "infeasible"
+
+
+@pytest.mark.parametrize("given, expected", [(("--feas-tol", "1e-8"), 1e-8),
+                                             ((), 1e-7)])
+def test_every_lp_solves_at_the_feas_tol_given(runner, tmp_path, monkeypatch,
+                                               given, expected):
+    """An explicit ``--feas-tol 1e-8`` reaches HiGHS, and so does the
+    default, HiGHS's own 1e-7."""
+    seen, solve = [], lp.maximize
+
+    def recording(*args):
+        seen.append(lp._OPTIONS.get())
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "maximize", recording)
+    _config_hash(runner, tmp_path, *given)
+    assert seen
+    assert all(opts == {"primal_feasibility_tolerance": expected,
+                        "dual_feasibility_tolerance": expected} for opts in seen)
 
 
 def _assert_rejected(result, out_dir, error):

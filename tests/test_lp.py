@@ -27,16 +27,31 @@ def _mask(n_rows, n_working):
     return working
 
 
+def _rows(a, b, a_eq, bounds):
+    """``a x <= b`` plus each equality ``a_eq x = 0`` as a row pair and each
+    finite bound in ``bounds`` (one ``(lo, hi)`` pair per column, None for
+    none) as a row."""
+    eye = np.eye(a.shape[1])
+    a_rows, b_rows = [a, a_eq, -a_eq], [b, np.zeros(2 * len(a_eq))]
+    for j, (lo, hi) in enumerate(bounds):
+        for sign, lim in ((1.0, hi), (-1.0, lo)):
+            if lim is not None:
+                a_rows.append(sign * eye[j:j + 1])
+                b_rows.append([sign * lim])
+    return np.vstack(a_rows), np.concatenate(b_rows)
+
+
 def _neighbor_shaped():
-    """Rows, two equalities and per-column bounds, as in the deviation LPs."""
+    """Rows, two equalities as row pairs and per-column bands as rows, as in
+    the deviation LPs."""
     rng = np.random.default_rng(11)
     a, b = _bounded_stack(rng, n_rows=60, n_var=7)
     a_eq = np.array([[1.0, 1.0, 1.0, -1.0, -1.0, 0.0, 0.0],
                      [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
-    bounds = ([(None, None)] + [(-0.3, 0.4)] * 3 + [(None, np.inf)]
-              + [(-np.inf, 0.5), (-0.2, None)])
-    return dict(c=rng.normal(size=7), a_ub=a, b_ub=b, a_eq=a_eq,
-                b_eq=np.zeros(2), bounds=bounds)
+    bounds = ([(None, None)] + [(-0.3, 0.4)] * 3 + [(None, None)]
+              + [(None, 0.5), (-0.2, None)])
+    a, b = _rows(a, b, a_eq, bounds)
+    return dict(c=rng.normal(size=7), a_ub=a, b_ub=b)
 
 
 def _bounded():
@@ -242,8 +257,9 @@ def _tolerance_sensitive():
 
 
 def _mixed_sequence():
-    """Seeded LPs of every status, with and without equalities and bounds,
-    plus a tie, the ``Unknown`` LP and a tolerance-sensitive one."""
+    """Seeded LPs of every status, with and without equalities and bounds
+    written as rows, plus a tie, the ``Unknown`` LP and a
+    tolerance-sensitive one."""
     rng = np.random.default_rng(19)
     lps = []
     for k in range(24):
@@ -257,8 +273,8 @@ def _mixed_sequence():
             data["a_ub"][:, 0] = 0.0
             data["c"] = np.eye(n)[0]
         elif k % 4 == 3:
-            data.update(a_eq=np.ones((1, n)), b_eq=np.zeros(1),
-                        bounds=[(-0.3, 0.4)] * (n - 1) + [(None, None)])
+            data["a_ub"], data["b_ub"] = _rows(
+                a, b, np.ones((1, n)), [(-0.3, 0.4)] * (n - 1) + [(None, None)])
         lps.append(data)
     # max x + y on the unit square cut by x + y <= 1 (twice): every point
     # of an edge is optimal, and four rows meet at each of its ends.
@@ -306,7 +322,7 @@ def test_options_do_not_outlive_their_block(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["direct", "linprog"])
-@pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+@pytest.mark.parametrize("name", ["c", "a_ub", "b_ub"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_lp_data_fails_at_the_seam(backend, name, bad, monkeypatch):
     if backend == "direct" and lp._highs is None:
@@ -334,14 +350,18 @@ def test_lazy_optimum_matches_the_full_stack(seed):
 
 
 def test_lazy_with_equalities_and_bounds():
+    """An equality and bounds written as rows behind the working rows: the
+    lazy solve adds the ones it needs and reaches the full optimum."""
     rng = np.random.default_rng(3)
     a, b = _bounded_stack(rng, n_var=6)
-    a_eq, b_eq = np.ones((1, 6)), np.zeros(1)
-    bounds = [(-0.3, 0.4)] * 3 + [(None, None)] * 3
+    a, b = _rows(a, b, np.ones((1, 6)), [(-0.3, 0.4)] * 3 + [(None, None)] * 3)
     c = rng.normal(size=6)
-    full = maximize(c, a, b, a_eq, b_eq, bounds)
-    lazy = maximize_lazy(c, a, b, _mask(len(b), 10), a_eq, b_eq, bounds)
+    full = maximize(c, a, b)
+    working = _mask(len(b), 40)
+    lazy = maximize_lazy(c, a, b, working)
+    assert full.optimal and lazy.optimal
     assert lazy.value == pytest.approx(full.value, abs=1e-9)
+    assert working[300:302].any()  # a row of the equality pair was added
 
 
 def test_infeasible_full_stack_stays_infeasible():

@@ -4,6 +4,8 @@ import pytest
 from gridflex import (GridflexError, ReserveConfig, case_from_dict,
                       configure_reserves, compute_dc_flows, compute_ggdf,
                       compute_lodf, compute_ptdf, partition)
+from gridflex.errors import CaseError
+from gridflex.network import BALANCE_TOL, validate_case
 from gridflex.sensitivity import _nodal_ptdf
 
 from conftest import triangle_tie_dict
@@ -122,6 +124,24 @@ def test_dc_flows_single_path(toy_case):
                dataclasses.replace(toy_case.buses[1], load_pu=2.0)))
     flows = compute_dc_flows(case)
     assert np.allclose(flows.p_line_pu, [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1.1, 0.9])
+def test_flows_and_validation_share_one_balance_tolerance(toy_case, factor):
+    """A case unbalanced by just over ``BALANCE_TOL`` is rejected by both
+    the case check and the flow solve; just under it, by neither."""
+    import dataclasses
+    bus = toy_case.buses[0]
+    case = dataclasses.replace(toy_case, buses=(
+        dataclasses.replace(bus, load_pu=bus.load_pu + factor * BALANCE_TOL),
+        *toy_case.buses[1:]))
+    if factor > 1:
+        for check in (validate_case, compute_dc_flows):
+            with pytest.raises(CaseError, match=r"unbalanced .*tolerance 1e-06"):
+                check(case)
+    else:
+        validate_case(case)
+        compute_dc_flows(case)
 
 
 def test_dc_flows_nodal_balance(rts_case):
