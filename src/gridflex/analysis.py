@@ -294,13 +294,13 @@ def build_atc_polytope(view: AreaView, limits: DeltaLimits,
     if not all(math.isfinite(v) and v >= 0 for v in (atc_ab, atc_ba)):
         raise CaseError(f"transfer capacities must be finite and nonnegative, "
                         f"got {atc_ab:g} and {atc_ba:g}")
-    n_e = len(limits.tie_ids)
-    labels = tuple(f"tie:{t}" for t in limits.tie_ids)
+    n_e, n_int = view.n_e, len(view.internal_lines)
     ones = np.ones((1, n_e))
     a = np.vstack([ones, -ones, np.eye(n_e), -np.eye(n_e)])
-    b = np.concatenate([[atc_ab, atc_ba], limits.ext_up, -limits.ext_dn])
+    b = np.concatenate([[atc_ab, atc_ba], limits.line_up[n_int:],
+                        -limits.line_dn[n_int:]])
     return ExternalPolytope(
-        poly=HPolytope(a, b, labels),
+        poly=HPolytope(a, b, view.external_labels),
         provenance={
             "case_hash": view.case.case_hash(),
             "spec": f"atc/ab={atc_ab:g}/ba={atc_ba:g}",
@@ -374,53 +374,47 @@ class _NeighborModel:
 
     Variables are ``[delta, p_B..., p_e...]``: the probed bus disturbance,
     the neighbor's own reserve deviations (one per source bus) and the tie
-    imports in the exporter's convention.  Every constraint is a row, in
-    :func:`assemble_nominal`'s order: the internal line band, the reserve
-    bands, the balance ``delta + sum(p_B) + sum(p_e) = 0`` (ties in the
-    neighbor's convention) as a row pair and the outage bands, then the
-    imported facets over ``p_e`` in every mode.
+    imports in the exporter's convention.  Every row comes from the
+    exporter's assemblers, minus the tie rows: :func:`assemble_nominal`'s
+    internal line band, reserve bands and balance ``delta + sum(p_B) +
+    sum(p_e) = 0`` (ties in the neighbor's convention), with security the
+    outage bands, then the imported facets over ``p_e`` in every mode.
 
     The rows are built once, over a PTDF whose internal columns are
     extended by one bus column per neighbor bus: the ``delta`` column of
-    a probed bus is then a column slice.  Line rows cover the internal
-    lines only (tie rows are dropped by their label), the tie columns are
-    flipped into the exporter's convention, and with security the outage
-    bands come from the exporter's assemblers with the line outages
-    pinned to internal lines.  LPs run on lazy working rows.
+    a probed bus is then a column slice.  The tie line and tie source
+    bands are dropped by their label, since the imported facets bound
+    the ties; the tie columns are flipped into the exporter's
+    convention, and the line outages are pinned to internal lines.  LPs
+    run on lazy working rows, starting from the nominal ones.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
         view, ptdf, limits = study.view, study.ptdf, study.limits
         self.view = view
         self.buses = tuple(b.id for b in view.buses)
-        ext = replace(ptdf, h_i=np.hstack(
-            [ptdf.h_i] + [ptdf.bus_column(b)[:, None] for b in self.buses]))
-        n_int, n_b = len(view.internal_lines), view.n_i
-        nominal = ext.matrix[:n_int]
-        band = np.eye(nominal.shape[1])[:n_b]
-        balance = np.ones((1, nominal.shape[1]))
-        a_rows = [nominal, -nominal, band, -band, balance, -balance]
-        b_rows = [limits.line_up[:n_int], -limits.line_dn[:n_int],
-                  limits.bus_up, -limits.bus_dn, np.zeros(2)]
+        ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, np.vstack(
+            [ptdf.nodal, np.zeros((view.n_e, len(self.buses)))])]))
+        block = assemble_nominal(view, ext, limits)
         if include_security:
             internal = tuple(ln.id for ln in view.internal_lines)
-            tie_rows = tuple(f":line:{t.line.id}:{side}"
-                             for t in view.ties for side in ("up", "dn"))
             outages = tuple(o for o in study.lodf.outage_ids if o in internal)
-            for blk in (assemble_generator_outages(view, ext, study.ggdf,
-                                                   limits, study.dispatched),
-                        assemble_line_outages(view, ext, study.lodf, limits,
-                                              study.flows, outages=outages)):
-                keep = [not label.endswith(tie_rows) for label in blk.labels]
-                a_rows.append(blk.a[keep])
-                b_rows.append(blk.b[keep])
-        a = np.vstack(a_rows)
+            block = stack_n1(
+                block,
+                assemble_generator_outages(view, ext, study.ggdf, limits,
+                                           study.dispatched),
+                assemble_line_outages(view, ext, study.lodf, limits,
+                                      study.flows, outages=outages))
+        tie_rows = tuple(f":{kind}:{t.line.id}:{side}" for t in view.ties
+                         for kind in ("line", "ext") for side in ("up", "dn"))
+        keep = [not label.endswith(tie_rows) for label in block.labels]
+        a, n_b, n_i = block.a[keep], view.n_i, block.n_i
         # Columns [delta per bus..., p_B..., p_e...], ties flipped.
-        self.a_ub = np.hstack([a[:, n_b:ext.h_i.shape[1]], a[:, :n_b],
-                               -a[:, ext.h_i.shape[1]:]])
-        self.b_ub = np.concatenate(b_rows)
+        self.a_ub = np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]])
+        self.b_ub = block.b[keep]
         # Working rows of the lazy solves: nominal first, grown by each solve.
-        self.working = np.arange(len(self.b_ub)) < 2 * (n_int + n_b + 1)
+        self.working = np.array([label.startswith("N:") for label, k
+                                 in zip(block.labels, keep) if k], dtype=bool)
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
         """``(max_up, max_dn)`` of every bus in ``buses``; ``mode`` only

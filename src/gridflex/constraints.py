@@ -8,6 +8,12 @@ Blocks carry a label per row recording its provenance (line, source
 bound, balance, or outage), which survives serialization and makes
 infeasibility reports actionable.
 
+Every assembler reads the row and column ids from the :class:`AreaView`.
+The PTDF's ``h_i`` may carry more internal columns than the view has
+sources (the neighbor study appends one per bus); the extra columns
+follow the sources, and the source band then covers the view's sources
+and ties only.
+
 Security rows follow the band pattern
 
     lower + shift <= M p <= upper - shift
@@ -38,22 +44,18 @@ _LIMIT_TOL = 1e-9
 class DeltaLimits:
     """Remaining margins around the scheduled operating point.
 
-    Line margins follow the view row order (internal lines then ties;
-    tie rows import-oriented).  Source margins are the reserve bands of
-    the internal sources and the remaining tie capacities for the
-    external ones.  Lower margins are nonpositive, upper margins
-    nonnegative, because the schedule itself is feasible.
+    Line margins follow :attr:`AreaView.line_ids` (internal lines then
+    ties; tie rows import-oriented), so the tie margins, the remaining
+    tie capacities, are their tie rows.  Source margins are the reserve
+    bands of the internal sources in :attr:`AreaView.source_buses`
+    order.  Lower margins are nonpositive, upper margins nonnegative,
+    because the schedule itself is feasible.
     """
 
-    line_ids: tuple[str, ...]
     line_up: np.ndarray
     line_dn: np.ndarray
-    source_buses: tuple[int, ...]
     bus_up: np.ndarray
     bus_dn: np.ndarray
-    tie_ids: tuple[str, ...]
-    ext_up: np.ndarray
-    ext_dn: np.ndarray
 
 
 def compute_delta_limits(case: NetworkCase, view: AreaView,
@@ -61,26 +63,15 @@ def compute_delta_limits(case: NetworkCase, view: AreaView,
     """Margins to the line limits and source bounds at the current schedule."""
     flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
     up, dn = [], []
-    for ln in view.internal_lines:
-        sched = flow_of[ln.id]
+    for ln, sign in zip(view.internal_lines + tuple(t.line for t in view.ties),
+                        view.line_signs):
+        sched = sign * flow_of[ln.id]
         if abs(sched) > ln.flow_limit_pu + _LIMIT_TOL:
             raise CaseError(
                 f"scheduled flow {sched:+.4f} pu exceeds limit "
                 f"{ln.flow_limit_pu:.4f} pu", ln.id)
         up.append(ln.flow_limit_pu - sched)
         dn.append(-ln.flow_limit_pu - sched)
-    ext_up, ext_dn = [], []
-    for tie in view.ties:
-        sched = tie.import_sign * flow_of[tie.line.id]
-        cap = tie.line.flow_limit_pu
-        if abs(sched) > cap + _LIMIT_TOL:
-            raise CaseError(
-                f"scheduled flow {sched:+.4f} pu exceeds limit {cap:.4f} pu",
-                tie.line.id)
-        ext_up.append(cap - sched)
-        ext_dn.append(-cap - sched)
-        up.append(cap - sched)
-        dn.append(-cap - sched)
 
     band_up = {b: 0.0 for b in view.source_buses}
     band_dn = {b: 0.0 for b in view.source_buses}
@@ -89,15 +80,10 @@ def compute_delta_limits(case: NetworkCase, view: AreaView,
             band_up[g.bus] += g.res_up_pu
             band_dn[g.bus] += g.res_dn_pu
     return DeltaLimits(
-        line_ids=view.line_ids,
         line_up=np.array(up),
         line_dn=np.array(dn),
-        source_buses=view.source_buses,
         bus_up=np.array([band_up[b] for b in view.source_buses]),
         bus_dn=np.array([-band_dn[b] for b in view.source_buses]),
-        tie_ids=tuple(t.line.id for t in view.ties),
-        ext_up=np.array(ext_up),
-        ext_dn=np.array(ext_dn),
     )
 
 
@@ -174,17 +160,21 @@ def assemble_nominal(view: AreaView, ptdf: PtdfMatrix,
 
     Row order is fixed: upper line rows, lower line rows, upper source
     rows, lower source rows, then the two balance rows encoding
-    ``sum(p) = 0`` as an inequality pair.
+    ``sum(p) = 0`` as an inequality pair.  The source band covers the
+    view's sources and ties; where ``ptdf.h_i`` has more columns than
+    the view has sources, it is zero on the extra ones.
     """
     n_i, n_e = ptdf.h_i.shape[1], view.n_e
+    line_ids, n_int = view.line_ids, len(view.internal_lines)
+    eye = np.eye(n_i + n_e)
     return _stack([
         _band_rows(ptdf.matrix, limits.line_up, limits.line_dn,
-                   [f"N:line:{l}" for l in limits.line_ids], n_i),
-        _band_rows(np.eye(n_i + n_e),
-                   np.concatenate([limits.bus_up, limits.ext_up]),
-                   np.concatenate([limits.bus_dn, limits.ext_dn]),
-                   [f"N:bus:{b}" for b in limits.source_buses]
-                   + [f"N:ext:{t}" for t in limits.tie_ids], n_i),
+                   [f"N:line:{l}" for l in line_ids], n_i),
+        _band_rows(np.vstack([eye[:view.n_i], eye[n_i:]]),
+                   np.concatenate([limits.bus_up, limits.line_up[n_int:]]),
+                   np.concatenate([limits.bus_dn, limits.line_dn[n_int:]]),
+                   [f"N:bus:{b}" for b in view.source_buses]
+                   + [f"N:ext:{t}" for t in line_ids[n_int:]], n_i),
         # A lower bound of -0.0 keeps both balance offsets at +0.0.
         _band_rows(np.ones((1, n_i + n_e)), np.zeros(1), np.array([-0.0]),
                    ["N:balance"], n_i),
@@ -205,7 +195,7 @@ def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
     """
     if units is None:
         units = ggdf.unit_ids
-    n_i, h = ptdf.h_i.shape[1], ptdf.matrix
+    n_i, h, line_ids = ptdf.h_i.shape[1], ptdf.matrix, view.line_ids
     source_index = {b: j for j, b in enumerate(view.source_buses)}
     blocks = []
     for uid in units:
@@ -220,7 +210,7 @@ def assemble_generator_outages(view: AreaView, ptdf: PtdfMatrix,
             q[:, source_index[bus]] += g_col
         blocks.append(_band_rows(
             q, limits.line_up - shift, limits.line_dn + shift,
-            [f"G:{uid}:line:{l}" for l in limits.line_ids], n_i))
+            [f"G:{uid}:line:{l}" for l in line_ids], n_i))
     return _stack(blocks, n_i, view.n_e)
 
 
@@ -241,7 +231,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     if outages is None:
         outages = lodf.outage_ids
     flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
-    n_i, h = ptdf.h_i.shape[1], ptdf.matrix
+    n_i, h, line_ids = ptdf.h_i.shape[1], ptdf.matrix, view.line_ids
     orient = view.line_signs
     blocks = []
     for oid in outages:
@@ -251,8 +241,8 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
         if oid not in lodf.outage_ids:
             raise GridflexError(f"no outage column for line {oid}")
         mask, l_col = lodf.column(oid)
-        if oid in view.line_ids:
-            k = view.line_ids.index(oid)
+        if oid in line_ids:
+            k = line_ids.index(oid)
             row = orient[k] * h[k]
         else:
             row = np.zeros(h.shape[1])
@@ -262,7 +252,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
         lower = limits.line_dn - shift if strict else limits.line_dn + shift
         blocks.append(_band_rows(
             m[mask], (limits.line_up - shift)[mask], lower[mask],
-            [f"L:{oid}:line:{l}" for l, k in zip(limits.line_ids, mask) if k],
+            [f"L:{oid}:line:{l}" for l, k in zip(line_ids, mask) if k],
             n_i))
     return _stack(blocks, n_i, view.n_e)
 

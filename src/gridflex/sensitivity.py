@@ -157,8 +157,6 @@ class ScheduledFlows:
 
     line_ids: tuple[str, ...]
     p_line_pu: np.ndarray
-    gen_ids: tuple[str, ...]
-    p_gen_pu: np.ndarray
 
     def flow(self, line_id: str) -> float:
         return float(self.p_line_pu[self.line_ids.index(line_id)])
@@ -185,14 +183,8 @@ def compute_dc_flows(case: NetworkCase,
         injection[index[b.id]] -= b.load_pu
     for g in case.generators:
         injection[index[g.bus]] += g.p_sched_pu
-    flows = shift.nodal @ injection
-    gens = tuple(sorted(case.generators, key=lambda g: (g.bus, g.id)))
-    return ScheduledFlows(
-        line_ids=tuple(ln.id for ln in shift.lines),
-        p_line_pu=flows,
-        gen_ids=tuple(g.id for g in gens),
-        p_gen_pu=np.array([g.p_sched_pu for g in gens]),
-    )
+    return ScheduledFlows(line_ids=tuple(ln.id for ln in shift.lines),
+                          p_line_pu=shift.nodal @ injection)
 
 
 @dataclass(frozen=True)
@@ -200,12 +192,12 @@ class GgdfMatrix:
     """Per-unit-outage flow sensitivities with capacity-weighted pickup.
 
     Column ``k`` scaled by the lost output ``p_gen_pu[k]`` is the flow
-    change on every study-area line when unit ``k`` trips and the
-    remaining area units pick up the slack in proportion to capacity.
+    change on every study-area line (rows in :attr:`AreaView.line_ids`
+    order) when unit ``k`` trips and the remaining area units pick up
+    the slack in proportion to capacity.
     ``weights[k]`` maps each surviving unit id to its pickup share.
     """
 
-    line_ids: tuple[str, ...]
     unit_ids: tuple[str, ...]
     unit_buses: tuple[int, ...]
     matrix: np.ndarray
@@ -247,7 +239,6 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
         columns[:, j] = col
         weight_maps.append(share)
     return GgdfMatrix(
-        line_ids=ptdf.line_ids,
         unit_ids=tuple(u.id for u in units),
         unit_buses=tuple(u.bus for u in units),
         matrix=columns,

@@ -25,7 +25,7 @@ def triangle_parts(triangle_tie_case):
 def test_delta_limits_basic_arithmetic(triangle_parts):
     case, view, flows, limits, _ = triangle_parts
     # Tie 3-4 carries 1.5 pu toward B; import margin is -(limit) - (-1.5).
-    k = limits.line_ids.index("3-4")
+    k = view.line_ids.index("3-4")
     assert limits.line_up[k] == pytest.approx(10.0 + 1.5)
     assert limits.line_dn[k] == pytest.approx(-10.0 + 1.5)
     assert np.all(limits.line_up >= 0.0)
@@ -40,7 +40,7 @@ def test_delta_limits_schedule_margin_example():
     view = partition(case)
     flows = compute_dc_flows(case)
     limits = compute_delta_limits(case, view, flows)
-    k = limits.line_ids.index("1-2")
+    k = view.line_ids.index("1-2")
     sched = flows.flow("1-2")
     assert limits.line_up[k] == pytest.approx(2.0 - sched)
     assert limits.line_dn[k] == pytest.approx(-2.0 - sched)
@@ -54,8 +54,9 @@ def test_delta_limits_unloaded_line_symmetric():
         g.update(p_sched_pu=0.0, res_dn_pu=0.0)
     raw["lines"][0]["flow_limit_pu"] = 1.0
     case = case_from_dict(raw)
-    limits = compute_delta_limits(case, partition(case), compute_dc_flows(case))
-    k = limits.line_ids.index("1-2")
+    view = partition(case)
+    limits = compute_delta_limits(case, view, compute_dc_flows(case))
+    k = view.line_ids.index("1-2")
     assert limits.line_up[k] == pytest.approx(1.0)
     assert limits.line_dn[k] == pytest.approx(-1.0)
 
@@ -76,8 +77,7 @@ def test_delta_limits_rejects_overloaded_schedule(triangle_parts):
     bad = ScheduledFlows(
         line_ids=flows.line_ids,
         p_line_pu=np.where(np.array(flows.line_ids) == "1-2", 99.0,
-                           flows.p_line_pu),
-        gen_ids=flows.gen_ids, p_gen_pu=flows.p_gen_pu)
+                           flows.p_line_pu))
     with pytest.raises(CaseError, match="1-2"):
         compute_delta_limits(case, view, bad)
 
@@ -103,10 +103,8 @@ def test_nominal_rows_match_hand_substitution():
 
     view, ptdf = _toy_view_and_ptdf()
     limits = DeltaLimits(
-        line_ids=("L", "T"),
         line_up=np.array([0.8, 1.0]), line_dn=np.array([-1.2, -1.0]),
-        source_buses=(1,), bus_up=np.array([0.4]), bus_dn=np.array([-0.3]),
-        tie_ids=("T",), ext_up=np.array([1.0]), ext_dn=np.array([-1.0]))
+        bus_up=np.array([0.4]), bus_dn=np.array([-0.3]))
     block = assemble_nominal(view, ptdf, limits)
     rows = dict(zip(block.labels, block.a))
     offs = dict(zip(block.labels, block.b))
@@ -117,6 +115,32 @@ def test_nominal_rows_match_hand_substitution():
     assert np.allclose(rows["N:balance:up"], [1.0, 1.0])
     assert np.allclose(rows["N:balance:dn"], [-1.0, -1.0])
     assert offs["N:balance:up"] == 0.0 and offs["N:balance:dn"] == 0.0
+
+
+def test_nominal_rows_over_a_widened_h_i():
+    """Extra internal columns, like the neighbor study's bus columns, keep
+    the labels and offsets; the source and tie bands stay the plain ones
+    with zeros on the extra columns."""
+    from dataclasses import replace
+
+    from gridflex.constraints import DeltaLimits
+
+    view, ptdf = _toy_view_and_ptdf()
+    limits = DeltaLimits(
+        line_up=np.array([0.8, 1.0]), line_dn=np.array([-1.2, -1.0]),
+        bus_up=np.array([0.4]), bus_dn=np.array([-0.3]))
+    wide = replace(ptdf, h_i=np.hstack([ptdf.h_i, [[0.3, -0.2], [0.0, 0.0]]]))
+    plain = assemble_nominal(view, ptdf, limits)
+    block = assemble_nominal(view, wide, limits)
+    assert block.labels == plain.labels
+    assert np.array_equal(block.b, plain.b)
+    assert (block.n_i, block.n_e) == (3, 1)
+    bands = [k for k, l in enumerate(block.labels)
+             if l.startswith(("N:bus:", "N:ext:"))]
+    assert len(bands) == 4
+    for k in bands:
+        assert np.array_equal(block.a[k, 1:3], [0.0, 0.0])
+        assert np.array_equal(np.delete(block.a[k], [1, 2]), plain.a[k])
 
 
 def test_nominal_origin_feasible(triangle_parts):
@@ -152,7 +176,7 @@ def test_generator_outage_offsets_follow_band_pattern(triangle_parts):
     j = ggdf.unit_ids.index("g2")
     shift = ggdf.matrix[:, j] * ggdf.p_gen_pu[j]
     offs = dict(zip(block.labels, block.b))
-    for k, lid in enumerate(limits.line_ids):
+    for k, lid in enumerate(view.line_ids):
         up_label = f"G:g2:line:{lid}:up"
         dn_label = f"G:g2:line:{lid}:dn"
         if up_label in offs:
@@ -204,7 +228,7 @@ def test_line_outage_unloaded_line_keeps_nominal_margins():
                                   outages=("1-3",))
     offs = dict(zip(block.labels, block.b))
     for lid in ("1-2", "2-3"):
-        k = limits.line_ids.index(lid)
+        k = view.line_ids.index(lid)
         assert offs[f"L:1-3:line:{lid}:up"] == pytest.approx(limits.line_up[k])
         assert offs[f"L:1-3:line:{lid}:dn"] == pytest.approx(-limits.line_dn[k])
 
@@ -218,7 +242,7 @@ def test_line_outage_constants_match_rerouted_flow(triangle_parts):
     _, col = lodf.column("1-3")
     sched = flows.flow("1-3")
     offs = dict(zip(block.labels, block.b))
-    for k, lid in enumerate(limits.line_ids):
+    for k, lid in enumerate(view.line_ids):
         if lid == "1-3" or f"L:1-3:line:{lid}:up" not in offs:
             continue
         assert offs[f"L:1-3:line:{lid}:up"] == pytest.approx(

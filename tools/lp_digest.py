@@ -10,6 +10,11 @@ itself calls every LP through ``gridflex.lp``, ``maximize_lazy`` included.
 Prints per workload the LP count and a SHA-256 digest over each call's
 inputs (shapes and bytes), status, ``x`` and value.  Two trees that print
 the same digests solved the same LPs, in the same order, to the same bits.
+
+A last line, ``artifacts``, runs a fixed battery of CLI commands
+in-process and prints the number of artifacts they wrote and a SHA-256
+over each run's exit code and each artifact's relative path and bytes.
+Two trees that print the same line wrote byte-identical artifacts.
 Nothing is written under the repository.
 """
 
@@ -29,6 +34,21 @@ import numpy as np  # noqa: E402
 import test_acceptance  # noqa: E402
 import workloads  # noqa: E402
 from gridflex import lp  # noqa: E402
+
+
+# The ``artifacts`` battery: (case, command, options) per CLI run.
+_CLI_RUNS = (
+    (workloads.RTS, "build", "--reserves full --security n1"),
+    (workloads.RTS, "metrics", "--approach passive --security n1 --reserves full"),
+    (workloads.RTS, "atc", ""),
+    (workloads.RTS, "atc", "--reserves full --security n1 --scale 0.7"),
+    (workloads.RTS, "maxdev", "--reserve-pct 0.1 --neighbor-security"),
+    (workloads.RTS, "maxdev", "--reserve-pct 0.05 --security n1"),
+    (workloads.RTS, "maxdev", "--reserve-pct 0.2 --reserves full --neighbor-security"),
+    (workloads.RTS, "plotdata", "--reserves full"),
+    (workloads.TOY, "build", ""),
+    (workloads.TOY, "maxdev", "--reserve-pct 0.05"),
+)
 
 
 @contextlib.contextmanager
@@ -59,6 +79,27 @@ def _recording(*owners):
             owner.maximize = real
 
 
+def _artifacts(tmp: Path, errors: list) -> tuple[int, str]:
+    """Run the ``artifacts`` battery under ``tmp``; returns the number of
+    artifacts written and the digest, and notes each failed run in
+    ``errors``."""
+    count, sha = 0, hashlib.sha256()
+    for k, (case, command, options) in enumerate(_CLI_RUNS):
+        out_dir = tmp / "artifacts" / f"run{k}"
+        code, _, detail = workloads.CliCommands._call(
+            ["--out-dir", str(out_dir), command, "--case", str(case),
+             *options.split()])
+        if code:
+            errors.append(f"artifacts run {k} ({command} {options}): exit "
+                          f"{code}: {detail.strip()[-300:]}")
+        sha.update(f"run {k} exit {code}\n".encode())
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            sha.update(f"{path.relative_to(out_dir)} {len(data)}\n".encode() + data)
+            count += 1
+    return count, sha.hexdigest()
+
+
 def main() -> int:
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,10 +110,12 @@ def main() -> int:
                 workload.run_pass(lambda unit, _, error: error and errors.append(
                     f"{name} {unit}: {error}"), in_process=True)
             print(f"{name:16s} {log[0]:7d} {log[1].hexdigest()}")
+        count, digest = _artifacts(Path(tmp), errors)
     with _recording(test_acceptance) as log, \
             contextlib.redirect_stdout(io.StringIO()):
         test_acceptance.test_criterion_2_projection_oracle()
     print(f"{'criterion-2':16s} {log[0]:7d} {log[1].hexdigest()}")
+    print(f"{'artifacts':16s} {count:7d} {digest}")
     for error in errors:
         print(f"failed: {error}")
     return 1 if errors else 0
