@@ -35,8 +35,8 @@ from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outag
                           compute_delta_limits, stack_n1)
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
-from .network import (AreaView, Generator, NetworkCase, ReserveConfig,
-                      configure_reserves, partition)
+from .network import (AreaView, NetworkCase, ReserveConfig, configure_reserves,
+                      partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
                        contains, hull_2d, polygon_area, project, vertices)
 from .sensitivity import (GgdfMatrix, LodfMatrix, NetworkShift, PtdfMatrix,
@@ -112,18 +112,13 @@ class Study:
                    compute_ptdf(view), shift)
 
     @property
-    def units(self) -> tuple[Generator, ...]:
-        return tuple(sorted(self.view.area_generators(),
-                            key=lambda g: (g.bus, g.id)))
-
-    @property
     def dispatched(self) -> tuple[str, ...]:
         """Default generator outages: every dispatched unit of the area."""
-        return tuple(g.id for g in self.units if g.p_sched_pu > 0.0)
+        return tuple(g.id for g in self.view.units if g.p_sched_pu > 0.0)
 
     @cached_property
     def ggdf(self) -> GgdfMatrix:
-        return compute_ggdf(self.view, self.ptdf, units=self.units)
+        return compute_ggdf(self.view, self.ptdf, units=self.view.units)
 
     @cached_property
     def lodf(self) -> LodfMatrix:
@@ -135,7 +130,7 @@ class Study:
             raise GridflexError(f"spec reserves {spec.reserves.describe()} differ "
                                 f"from the study's {self.reserves.describe()}")
         for kind, ids, known in (
-                ("units", spec.gen_outages, [g.id for g in self.units]),
+                ("units", spec.gen_outages, [g.id for g in self.view.units]),
                 ("lines", spec.line_outages, self.view.line_ids)):
             missing = [i for i in ids or () if i not in known]
             if missing:
@@ -381,10 +376,10 @@ class _NeighborModel:
     outage bands, then the imported facets over ``p_e`` in every mode.
 
     The rows are built once, over a PTDF whose internal columns are
-    extended by one bus column per neighbor bus: the ``delta`` column of
-    a probed bus is then a column slice.  The tie line and tie source
-    bands are dropped by their label, since the imported facets bound
-    the ties; the tie columns are flipped into the exporter's
+    extended by ``nodal``, one bus column per neighbor bus: the ``delta``
+    column of a probed bus is then a column slice.  The tie line and tie
+    source bands are dropped by their label, since the imported facets
+    bound the ties; the tie columns are flipped into the exporter's
     convention, and the line outages are pinned to internal lines.  LPs
     run on lazy working rows, starting from the nominal ones.
     """
@@ -393,8 +388,7 @@ class _NeighborModel:
         view, ptdf, limits = study.view, study.ptdf, study.limits
         self.view = view
         self.buses = tuple(b.id for b in view.buses)
-        ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, np.vstack(
-            [ptdf.nodal, np.zeros((view.n_e, len(self.buses)))])]))
+        ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, ptdf.nodal]))
         block = assemble_nominal(view, ext, limits)
         if include_security:
             internal = tuple(ln.id for ln in view.internal_lines)
@@ -457,7 +451,7 @@ def _with_unit_range(exporter: Study, fe: ExternalPolytope) -> ExternalPolytope:
     """``fe`` plus the exact shadow of the exporter's units on the tie sum:
     they balance the ties, ``sum(p_e) = -sum(p_A)``, each ``p_A`` inside
     ``[p_min - p_sched, p_max - p_sched]``."""
-    units, ones = exporter.units, np.ones((1, len(fe.labels)))
+    units, ones = exporter.view.units, np.ones((1, len(fe.labels)))
     b = [sum(g.p_sched_pu - g.p_min_pu for g in units),
          sum(g.p_max_pu - g.p_sched_pu for g in units)]
     return replace(fe, poly=HPolytope(np.vstack([fe.poly.A, ones, -ones]),

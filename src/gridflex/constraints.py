@@ -10,9 +10,9 @@ infeasibility reports actionable.
 
 Every assembler reads the row and column ids from the :class:`AreaView`.
 The PTDF's ``h_i`` may carry more internal columns than the view has
-sources (the neighbor study appends one per bus); the extra columns
-follow the sources, and the source band then covers the view's sources
-and ties only.
+sources: the neighbor study appends ``nodal``, one column per bus.  The
+extra columns follow the sources, and the source band then covers the
+view's sources and ties only.
 
 Security rows follow the band pattern
 
@@ -60,12 +60,15 @@ class DeltaLimits:
 
 def compute_delta_limits(case: NetworkCase, view: AreaView,
                          flows: ScheduledFlows) -> DeltaLimits:
-    """Margins to the line limits and source bounds at the current schedule."""
-    flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
+    """Margins to the line limits and source bounds at the current schedule.
+
+    ``case`` is not read: the view carries its case.  The parameter
+    stays for the callers that pass it.
+    """
     up, dn = [], []
     for ln, sign in zip(view.internal_lines + tuple(t.line for t in view.ties),
                         view.line_signs):
-        sched = sign * flow_of[ln.id]
+        sched = sign * flows.flow(ln.id)
         if abs(sched) > ln.flow_limit_pu + _LIMIT_TOL:
             raise CaseError(
                 f"scheduled flow {sched:+.4f} pu exceeds limit "
@@ -75,7 +78,7 @@ def compute_delta_limits(case: NetworkCase, view: AreaView,
 
     band_up = {b: 0.0 for b in view.source_buses}
     band_dn = {b: 0.0 for b in view.source_buses}
-    for g in view.area_generators():
+    for g in view.units:
         if g.bus in band_up:
             band_up[g.bus] += g.res_up_pu
             band_dn[g.bus] += g.res_dn_pu
@@ -230,7 +233,6 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
     """
     if outages is None:
         outages = lodf.outage_ids
-    flow_of = dict(zip(flows.line_ids, flows.p_line_pu))
     n_i, h, line_ids = ptdf.h_i.shape[1], ptdf.matrix, view.line_ids
     orient = view.line_signs
     blocks = []
@@ -247,7 +249,7 @@ def assemble_line_outages(view: AreaView, ptdf: PtdfMatrix, lodf: LodfMatrix,
         else:
             row = np.zeros(h.shape[1])
         r = np.outer(l_col, row)
-        shift = l_col * flow_of[oid]
+        shift = l_col * flows.flow(oid)
         m = h + r if strict else r
         lower = limits.line_dn - shift if strict else limits.line_dn + shift
         blocks.append(_band_rows(

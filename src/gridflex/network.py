@@ -164,12 +164,15 @@ class TieAttachment:
 
 @dataclass(frozen=True)
 class AreaView:
-    """Deterministic per-area indexing of buses, lines, and sources.
+    """Deterministic per-area indexing of buses, lines, units and sources.
 
     Internal sources are the generator buses with a nonzero reserve
     band, ordered by ascending bus id; external sources are the tie
     lines, ordered like internal lines by ``(from, to, id)``.  These
     orderings fix the meaning of every deviation vector downstream.
+    The area's units (:attr:`units`) and the row order of every
+    line-indexed matrix (:attr:`line_ids`, :attr:`line_signs`) are
+    computed once per view; no other record keeps a copy.
     """
 
     case: NetworkCase
@@ -201,21 +204,24 @@ class AreaView:
     def labels(self) -> tuple[str, ...]:
         return self.internal_labels + self.external_labels
 
-    @property
+    @cached_property
     def line_ids(self) -> tuple[str, ...]:
         """Row order of every line-indexed matrix: internal lines then ties."""
         return tuple(ln.id for ln in self.internal_lines) + tuple(
             t.line.id for t in self.ties)
 
-    @property
+    @cached_property
     def line_signs(self) -> tuple[float, ...]:
         """Import sign of every row of :attr:`line_ids`: +1 on internal
         lines, the tie's ``import_sign`` on ties."""
         return (1.0,) * len(self.internal_lines) + tuple(
             t.import_sign for t in self.ties)
 
-    def area_generators(self) -> tuple[Generator, ...]:
-        return self.case.area_generators(self.area)
+    @cached_property
+    def units(self) -> tuple[Generator, ...]:
+        """The area's generators in ``(bus, id)`` order."""
+        return tuple(sorted(self.case.area_generators(self.area),
+                            key=lambda g: (g.bus, g.id)))
 
 
 # Field type -> (conversion, the JSON types it accepts); never a bool.

@@ -107,6 +107,12 @@ def _empty(labels) -> HPolytope:
     return HPolytope(np.zeros((1, d)), np.array([-1.0]), tuple(labels))
 
 
+def _direction_key(a: np.ndarray) -> np.ndarray:
+    """``a`` rounded to ``_DUP_DECIMALS``, with -0.0 read as 0.0, so that
+    directions equal in value have equal bytes."""
+    return np.round(a, _DUP_DECIMALS) + 0.0
+
+
 def normalize_rows(poly: HPolytope) -> HPolytope:
     """Scale every row to unit norm; drop vacuous rows; merge duplicates.
 
@@ -125,7 +131,7 @@ def normalize_rows(poly: HPolytope) -> HPolytope:
         return HPolytope(a.reshape(0, poly.dim), b, poly.labels)
     a = a / norms[:, None]
     b = b / norms
-    key = np.round(a, _DUP_DECIMALS)
+    key = _direction_key(a)
     order = np.lexsort(key.T[::-1])
     best: dict[bytes, int] = {}
     keep_offset = {}
@@ -280,7 +286,7 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     values: dict[bytes, float] = {}  # support value per solved direction
 
     def key(normal):
-        return np.round(normal, _DUP_DECIMALS).tobytes()
+        return _direction_key(normal).tobytes()
 
     def support(normal):
         c = np.zeros(poly.dim)

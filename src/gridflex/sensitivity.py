@@ -14,7 +14,8 @@ Two network models appear here on purpose.
   redispatch.
 
 Every matrix uses the row order of :attr:`AreaView.line_ids` (internal
-lines, then ties) and tie rows are oriented import-positive.
+lines, then ties) and tie rows are oriented import-positive.  No
+matrix stores its row ids: they are the view's.
 """
 
 from __future__ import annotations
@@ -71,16 +72,17 @@ def _nodal_ptdf(bus_ids, lines, reference, context="network"):
 class PtdfMatrix:
     """Deviation sensitivities of study-area line flows.
 
-    Rows follow :attr:`AreaView.line_ids`; columns are internal sources
-    (``h_i``) then tie imports (``h_e``).  ``nodal`` keeps the full
-    per-bus shift matrix of the area subnetwork (internal line rows
-    only) for factor construction; tie rows of any bus column are zero
-    because tie flows are controlled inputs.
+    Rows follow :attr:`AreaView.line_ids`.  ``nodal`` is the per-bus
+    shift matrix of the area subnetwork, one column per bus as
+    ``bus_index`` maps them; its tie rows are zero because tie flows
+    are controlled inputs, so column ``bus_index[b]`` is the flow
+    response of every row to one pu injected at bus ``b``.  ``h_i``
+    holds its columns of the internal sources, ``h_e`` those of the tie
+    boundary buses plus the identity on the tie rows; together they are
+    ``matrix``.
     """
 
-    line_ids: tuple[str, ...]
     source_buses: tuple[int, ...]
-    tie_ids: tuple[str, ...]
     h_i: np.ndarray
     h_e: np.ndarray
     nodal: np.ndarray
@@ -89,16 +91,6 @@ class PtdfMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return np.hstack([self.h_i, self.h_e])
-
-    @property
-    def n_internal_lines(self) -> int:
-        return len(self.line_ids) - len(self.tie_ids)
-
-    def bus_column(self, bus: int) -> np.ndarray:
-        """Flow response (all rows) to one pu injected at ``bus``."""
-        col = np.zeros(len(self.line_ids))
-        col[: self.n_internal_lines] = self.nodal[:, self.bus_index[bus]]
-        return col
 
 
 def compute_ptdf(view: AreaView) -> PtdfMatrix:
@@ -110,22 +102,15 @@ def compute_ptdf(view: AreaView) -> PtdfMatrix:
     a unit row on its own import variable.
     """
     bus_ids = [b.id for b in view.buses]
-    nodal, index = _nodal_ptdf(bus_ids, view.internal_lines, view.reference_bus,
-                               context=f"area {view.area}")
-    n_int = len(view.internal_lines)
-    h_i_int = np.zeros((n_int, view.n_i))
-    for j, bus in enumerate(view.source_buses):
-        h_i_int[:, j] = nodal[:, index[bus]]
-    h_e_int = np.zeros((n_int, view.n_e))
-    for j, tie in enumerate(view.ties):
-        h_e_int[:, j] = nodal[:, index[tie.boundary_bus]]
-    h_i = np.vstack([h_i_int, np.zeros((view.n_e, view.n_i))])
-    h_e = np.vstack([h_e_int, np.eye(view.n_e)])
+    internal, index = _nodal_ptdf(bus_ids, view.internal_lines,
+                                  view.reference_bus, context=f"area {view.area}")
+    nodal = np.vstack([internal, np.zeros((view.n_e, len(bus_ids)))])
+    h_e = nodal[:, [index[t.boundary_bus] for t in view.ties]]
+    h_e[len(view.internal_lines):] += np.eye(view.n_e)
     return PtdfMatrix(
-        line_ids=view.line_ids,
         source_buses=view.source_buses,
-        tie_ids=tuple(t.line.id for t in view.ties),
-        h_i=h_i, h_e=h_e, nodal=nodal, bus_index=index,
+        h_i=nodal[:, [index[b] for b in view.source_buses]],
+        h_e=h_e, nodal=nodal, bus_index=index,
     )
 
 
@@ -212,19 +197,20 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
                  units: tuple[Generator, ...] | None = None) -> GgdfMatrix:
     """Build outage distribution columns for the given units.
 
-    ``units`` defaults to every dispatched generator of the area in
-    ``(bus, id)`` order.  The replacement power is spread over the
-    remaining area units proportionally to their capacity; an area with
-    fewer than two units, or no remaining capacity for some outage,
+    ``units`` defaults to every dispatched generator of the area, in
+    :attr:`AreaView.units` order.  The replacement power is spread over
+    the remaining area units proportionally to their capacity; an area
+    with fewer than two units, or no remaining capacity for some outage,
     cannot absorb it and raises :class:`CaseError`.
     """
-    area_units = tuple(sorted(view.area_generators(), key=lambda g: (g.bus, g.id)))
+    area_units = view.units
     if len(area_units) < 2:
         raise CaseError(
             f"area {view.area} needs at least two generators for outage factors")
     if units is None:
         units = tuple(g for g in area_units if g.p_sched_pu > 0.0)
-    columns = np.zeros((len(ptdf.line_ids), len(units)))
+    nodal, index = ptdf.nodal, ptdf.bus_index
+    columns = np.zeros((nodal.shape[0], len(units)))
     weight_maps = []
     for j, unit in enumerate(units):
         rest = [m for m in area_units if m.id != unit.id]
@@ -233,9 +219,9 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
             raise CaseError(
                 f"no remaining capacity to absorb the outage of unit {unit.id}")
         share = {m.id: m.capacity_pu / total_cap for m in rest}
-        col = -ptdf.bus_column(unit.bus)
+        col = -nodal[:, index[unit.bus]]
         for m in rest:
-            col = col + share[m.id] * ptdf.bus_column(m.bus)
+            col = col + share[m.id] * nodal[:, index[m.bus]]
         columns[:, j] = col
         weight_maps.append(share)
     return GgdfMatrix(
@@ -258,7 +244,6 @@ class LodfMatrix:
     excluded and listed in ``bridges``.
     """
 
-    line_ids: tuple[str, ...]
     outage_ids: tuple[str, ...]
     matrix: np.ndarray
     bridges: tuple[str, ...]
@@ -315,9 +300,5 @@ def compute_lodf(view: AreaView, outages: tuple[str, ...] | None = None,
         kept_ids.append(oid)
     matrix = (np.column_stack(kept_cols) if kept_cols
               else np.zeros((len(view.line_ids), 0)))
-    return LodfMatrix(
-        line_ids=view.line_ids,
-        outage_ids=tuple(kept_ids),
-        matrix=matrix,
-        bridges=tuple(bridges),
-    )
+    return LodfMatrix(outage_ids=tuple(kept_ids), matrix=matrix,
+                      bridges=tuple(bridges))

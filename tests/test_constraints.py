@@ -92,9 +92,9 @@ def _toy_view_and_ptdf():
         ties=(TieAttachment(tie, boundary_bus=2, import_sign=-1.0),),
         source_buses=(1,), reference_bus=1)
     ptdf = PtdfMatrix(
-        line_ids=("L", "T"), source_buses=(1,), tie_ids=("T",),
+        source_buses=(1,),
         h_i=np.array([[0.5], [0.0]]), h_e=np.array([[0.5], [1.0]]),
-        nodal=np.array([[0.5, 0.5]]), bus_index={1: 0, 2: 1})
+        nodal=np.array([[0.5, 0.5], [0.0, 0.0]]), bus_index={1: 0, 2: 1})
     return view, ptdf
 
 

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
 import gridflex
+from gridflex import lp
 from gridflex.analysis import NodalDeviationReport, UtilizationComparison
 from gridflex.polytope import ContainmentResult
 
@@ -33,10 +36,32 @@ def test_only_lp_binds_an_lp_function():
 
 
 def test_benchmark_entry_points_resolve():
-    """Every ``gf.<name>`` the benchmark workloads call is still bound."""
-    names = set(re.findall(r"\bgf\.(\w+)", WORKLOADS.read_text()))
+    """Every ``gf.<name>`` the benchmark workloads call is still bound, and
+    every ``gf.<name>(...)`` and ``lp.maximize(...)`` call there binds to
+    the current signature with its positional count and keyword names."""
+    source = WORKLOADS.read_text()
+    names = set(re.findall(r"\bgf\.(\w+)", source))
     assert names
     assert sorted(n for n in names if not hasattr(gridflex, n)) == []
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and (node.func.value.id == "gf"
+                  or (node.func.value.id, node.func.attr) == ("lp", "maximize"))]
+    assert calls
+    unbound = []
+    for call in calls:
+        owner = gridflex if call.func.value.id == "gf" else lp
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        try:
+            inspect.signature(getattr(owner, call.func.attr)).bind(
+                *call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {call.func.value.id}."
+                           f"{call.func.attr} ({exc})")
+    assert unbound == []
 
 
 def test_benchmark_result_fields_exist():

@@ -73,6 +73,10 @@ def test_normalize_merges_duplicates_and_unit_norms():
     p = normalize_rows(HPolytope(a, b, ("x", "y")))
     assert p.nrows == 2
     assert np.allclose(np.linalg.norm(p.A, axis=1), 1.0)
+    # Normals that round to 0.0 and to -0.0 are one direction.
+    a = np.array([[1.0, 1e-13], [1.0, -1e-13]])
+    p = normalize_rows(HPolytope(a, np.array([2.0, 1.0]), ("x", "y")))
+    assert p.nrows == 1 and p.b[0] == pytest.approx(1.0)
 
 
 def test_remove_redundant_drops_dominated_row():
@@ -163,6 +167,22 @@ def test_project_identity_is_minimal():
                         np.concatenate([p.b, p.b]), p.labels)
     r = project(doubled, ["x0", "x1"])
     assert r.nrows == 4 and r.labels == ("x0", "x1")
+
+
+def test_project_solves_no_direction_twice(monkeypatch):
+    """A hull facet along a start direction ``-e_j`` reuses its LP value."""
+    solve, directions = lp.maximize_lazy, []
+
+    def recording(c, *args, **kwargs):
+        directions.append(tuple(c.tolist()))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize_lazy", recording)
+    r = project(box([(0, 1)] * 3), ["x0", "x2"])
+    assert len(directions) == len(set(directions))
+    assert np.allclose(vertices_2d(r).min(axis=0), 0.0)
+    assert np.allclose(vertices_2d(r).max(axis=0), 1.0)
+    assert area_2d(r) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_project_reorders_columns():

@@ -24,7 +24,8 @@ def test_triangle_ptdf_matches_hand_solution(triangle_tie_case):
 def test_reference_bus_column_is_zero(triangle_tie_case):
     view = partition(triangle_tie_case)
     ptdf = compute_ptdf(view)
-    assert np.allclose(ptdf.bus_column(view.reference_bus), 0.0, atol=1e-14)
+    assert np.allclose(ptdf.nodal[:, ptdf.bus_index[view.reference_bus]], 0.0,
+                       atol=1e-14)
 
 
 def test_ptdf_entries_bounded(rts_case):
@@ -33,12 +34,23 @@ def test_ptdf_entries_bounded(rts_case):
     assert np.all(np.abs(ptdf.matrix) <= 1.0 + 1e-9)
 
 
-def test_ptdf_tie_rows_are_unit_rows(triangle_tie_case):
-    view = partition(triangle_tie_case)
-    ptdf = compute_ptdf(view)
-    n_int = len(view.internal_lines)
-    assert np.allclose(ptdf.h_i[n_int:], 0.0)
-    assert np.allclose(ptdf.h_e[n_int:], np.eye(view.n_e))
+def test_ptdf_tie_rows_are_unit_rows(triangle_tie_case, rts_case):
+    """``nodal`` has one row per line and a zero row per tie; ``h_i`` and
+    ``h_e`` are its columns of the sources and the boundary buses, ``h_e``
+    plus the identity on the tie rows."""
+    full = ReserveConfig(mode="full")
+    for case in (triangle_tie_case, configure_reserves(rts_case, full)):
+        view = partition(case)
+        ptdf = compute_ptdf(view)
+        n_int, index = len(view.internal_lines), ptdf.bus_index
+        assert ptdf.nodal.shape == (len(view.line_ids), len(view.buses))
+        assert not np.any(ptdf.nodal[n_int:])
+        assert np.allclose(ptdf.h_i[n_int:], 0.0)
+        assert np.allclose(ptdf.h_e[n_int:], np.eye(view.n_e))
+        sources = [index[b] for b in view.source_buses]
+        boundary = [index[t.boundary_bus] for t in view.ties]
+        assert np.array_equal(ptdf.h_i[:n_int], ptdf.nodal[:n_int, sources])
+        assert np.array_equal(ptdf.h_e[:n_int], ptdf.nodal[:n_int, boundary])
 
 
 def test_ptdf_linearity(rts_case):
@@ -162,7 +174,7 @@ def test_ggdf_two_generator_substitution(triangle_tie_case):
     ptdf = compute_ptdf(view)
     ggdf = compute_ggdf(view, ptdf)
     col = ggdf.column("g2")
-    assert np.allclose(col, -ptdf.bus_column(2), atol=1e-12)
+    assert np.allclose(col, -ptdf.nodal[:, ptdf.bus_index[2]], atol=1e-12)
 
 
 def test_ggdf_weights_sum_to_one(rts_case):
@@ -193,10 +205,10 @@ def test_ggdf_matches_injection_change_oracle(rts_case):
     ggdf = compute_ggdf(view, ptdf)
     for j, uid in enumerate(ggdf.unit_ids[:6]):
         share = ggdf.weights[j]
-        units = {g.id: g for g in view.area_generators()}
-        change = -ptdf.bus_column(units[uid].bus)
+        units = {g.id: g for g in view.units}
+        change = -ptdf.nodal[:, ptdf.bus_index[units[uid].bus]]
         for mid, w in share.items():
-            change = change + w * ptdf.bus_column(units[mid].bus)
+            change = change + w * ptdf.nodal[:, ptdf.bus_index[units[mid].bus]]
         assert np.allclose(ggdf.matrix[:, j], change, atol=1e-10)
 
 
@@ -221,7 +233,7 @@ def test_ggdf_no_remaining_capacity():
     case = case_from_dict(raw)
     view = partition(case)
     ptdf = compute_ptdf(view)
-    units = tuple(g for g in view.area_generators() if g.id == "g1")
+    units = tuple(g for g in view.units if g.id == "g1")
     with pytest.raises(GridflexError, match="remaining capacity"):
         compute_ggdf(view, ptdf, units=units)
 
@@ -231,10 +243,10 @@ def test_lodf_triangle_outage(triangle_tie_case):
     view = partition(triangle_tie_case)
     lodf = compute_lodf(view)
     mask, col = lodf.column("1-3")
-    rows = dict(zip(lodf.line_ids, col))
+    rows = dict(zip(view.line_ids, col))
     assert rows["1-2"] == pytest.approx(1.0, abs=1e-10)
     assert rows["2-3"] == pytest.approx(1.0, abs=1e-10)
-    assert not mask[lodf.line_ids.index("1-3")]
+    assert not mask[view.line_ids.index("1-3")]
 
 
 def test_lodf_flags_radial_spur():
