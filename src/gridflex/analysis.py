@@ -376,12 +376,15 @@ class _NeighborModel:
     outage bands, then the imported facets over ``p_e`` in every mode.
 
     The rows are built once, over a PTDF whose internal columns are
-    extended by ``nodal``, one bus column per neighbor bus: the ``delta``
-    column of a probed bus is then a column slice.  The tie line and tie
-    source bands are dropped by their label, since the imported facets
+    extended by ``nodal``, one bus column per neighbor bus, so the stack's
+    columns are ``[delta per bus..., p_B..., p_e...]``.  The tie line and
+    tie source bands are dropped by their label, since the imported facets
     bound the ties; the tie columns are flipped into the exporter's
-    convention, and the line outages are pinned to internal lines.  LPs
-    run on lazy working rows, starting from the nominal ones.
+    convention, and the line outages are pinned to internal lines.  Each
+    mode solves on one :class:`lp.LPSystem` over the stack plus the imported
+    facets, freeing the probed bus's ``delta`` column with ``p_B`` and
+    ``p_e``; its working rows start from the nominal ones and carry over
+    from one mode to the next.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
@@ -419,21 +422,22 @@ class _NeighborModel:
                 raise CaseError(f"bus {bus} is not in area {view.area}", bus)
         if tuple(imported.labels) != view.external_labels:
             raise GridflexError("imported polytope labels do not match the ties")
-        n_bus, facets = len(self.buses), imported.poly
-        pad = np.zeros((facets.nrows, self.a_ub.shape[1] - view.n_e))
-        a_ub = np.vstack([self.a_ub, np.hstack([pad, facets.A])])
-        b_ub = np.concatenate([self.b_ub, facets.b])
+        n_bus, n_col, facets = len(self.buses), self.a_ub.shape[1], imported.poly
+        pad = np.zeros((facets.nrows, n_col - view.n_e))
         # The imported facets are always working rows.
-        working = np.concatenate([self.working, np.ones(facets.nrows, dtype=bool)])
-        rest = list(range(n_bus, a_ub.shape[1]))
+        system = lp.LPSystem(
+            np.vstack([self.a_ub, np.hstack([pad, facets.A])]),
+            np.concatenate([self.b_ub, facets.b]),
+            np.concatenate([self.working, np.ones(facets.nrows, dtype=bool)]))
+        rest = list(range(n_bus, n_col))
         results = []
         for bus in buses:
-            a_bus = a_ub[:, [self.buses.index(bus)] + rest]
+            k = self.buses.index(bus)
             up_dn = []
             for sign in (1.0, -1.0):
-                c = np.zeros(a_bus.shape[1])
-                c[0] = sign
-                res = lp.maximize_lazy(c, a_bus, b_ub, working)
+                c = np.zeros(n_col)
+                c[k] = sign
+                res = system.maximize(c, [k] + rest)
                 if res.status == "infeasible":
                     raise InfeasibleSetError(
                         f"deviation study infeasible at bus {bus} (mode {mode})")
@@ -443,7 +447,7 @@ class _NeighborModel:
                         "a bound is missing")
                 up_dn.append(float(sign * res.value))
             results.append(tuple(up_dn))
-        self.working = working[:len(self.b_ub)]
+        self.working = system.working[:len(self.b_ub)]
         return results
 
 

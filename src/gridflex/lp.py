@@ -1,9 +1,12 @@
 """Thin linear-programming layer.
 
 Every LP in this package has one form, ``max c.x`` subject to
-``A x <= b`` over free variables, and funnels through :func:`maximize`
-(or :func:`maximize_lazy`, which calls it).  Callers write an equality
-as a row pair and a variable's bounds as rows of their own.
+``A x <= b`` over free variables, and is solved here: one at a time by
+:func:`maximize` (or :func:`maximize_lazy`, which calls it), or as one of
+many LPs on a fixed row stack by an :class:`LPSystem`, which solves each
+over a subset of the stack's columns with the others held at zero.
+Callers write an equality as a row pair and a variable's bounds as rows
+of their own.
 
 The backend is the HiGHS dual simplex that scipy bundles, which is
 deterministic for fixed inputs.  :func:`maximize` hands it the model
@@ -22,8 +25,9 @@ fails to load or fails the check (bindings without the plain-array
 ``passModel`` fail it), every LP goes through ``linprog``, which is imported
 on its first call.
 
-Every solve reuses one ``_Highs`` instance per bindings module, built on the
-first solve, never at import; the model goes in as plain arrays.  Reuse is
+Every :func:`maximize` reuses one ``_Highs`` instance per bindings module,
+built on the first solve, never at import; the model goes in as plain
+arrays.  Reuse is
 safe: ``passOptions`` replaces every option the instance holds, and
 ``passModel`` clears the previous model, basis and solution, so each LP
 gives the bytes a fresh instance gives it.  A fresh instance and its first
@@ -34,8 +38,18 @@ maps that result; it raises :class:`LPSolverError` only when the retry is
 not conclusive either.  The ``linprog`` fallback has no such retry: its
 ``highs``, ``highs-ds`` and ``highs-ipm`` all report that LP as status 4.
 
+An :class:`LPSystem` owns a ``_Highs`` instance of its own, so the shared
+one above never sees its model and still gives each LP the bytes of a fresh
+instance.  Its model stays loaded between solves: only costs and column
+bounds change, and violated rows are appended, so each solve starts from
+the previous basis and, once there is one, skips presolve.  The last digits
+of a system's optimum can therefore depend on the solves it ran before.
+No instance, shared or owned, may be used by two threads at once; nothing
+in the package starts a thread.
+
 HiGHS keeps its own feasibility tolerances unless a
-:func:`feasibility_tolerance` block is open in the calling context.
+:func:`feasibility_tolerance` block is open in the calling context; an
+:class:`LPSystem` reads the block once, when it is built.
 """
 
 from __future__ import annotations
@@ -143,17 +157,12 @@ def maximize(c, a_ub, b_ub) -> LPResult:
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    a_ub = np.asarray(a_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    if a_ub.ndim != 2 or b_ub.ndim != 1 or a_ub.shape[0] != b_ub.shape[0]:
-        raise LPSolverError("inequality system shapes disagree")
+    a_ub, b_ub = _stack(a_ub, b_ub)
     if not a_ub.shape[0]:
         a_ub = np.zeros((0, n))
     if c.ndim != 1 or not n or a_ub.shape[1] != n:
         raise LPSolverError("LP shapes disagree with the objective")
-    for name, data in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub)):
-        if not np.isfinite(data).all():
-            raise LPSolverError(f"LP data {name} holds a non-finite value")
+    _finite(c=c, a_ub=a_ub, b_ub=b_ub)
 
     status, x, fun = (_backend or _choose_backend())(-c, a_ub, b_ub)
     # HiGHS presolve reports some unbounded LPs as infeasible.
@@ -163,6 +172,22 @@ def maximize(c, a_ub, b_ub) -> LPResult:
     if status != "optimal":
         return LPResult(status=status, x=None, value=None)
     return LPResult(status="optimal", x=np.asarray(x), value=float(-fun))
+
+
+def _stack(a_ub, b_ub):
+    """``a_ub`` and ``b_ub`` as float arrays, checked to hold one offset per
+    row."""
+    a_ub = np.asarray(a_ub, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    if a_ub.ndim != 2 or b_ub.ndim != 1 or a_ub.shape[0] != b_ub.shape[0]:
+        raise LPSolverError("inequality system shapes disagree")
+    return a_ub, b_ub
+
+
+def _finite(**data):
+    for name, values in data.items():
+        if not np.isfinite(values).all():
+            raise LPSolverError(f"LP data {name} holds a non-finite value")
 
 
 def linprog(*args, **kwargs):
@@ -225,31 +250,51 @@ def _solve_highs(c, a_ub, b_ub):
     one more run with the primal; the next solve's options restore the
     dual."""
     n, m, inf = c.size, b_ub.size, _highs.kHighsInf
-    # Columns in CSC order with exact zeros dropped, as csc_array stores them.
-    a_t = a_ub.T
-    col, row = np.nonzero(a_t)
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=start[1:])
+    start, index, value = _compressed(a_ub.T)
     # passModel's array overload: sizes, format, sense, offset, costs, column
     # and row bounds, CSC arrays, integrality.  An empty integrality array
     # makes it return kError, so every column is marked continuous.
-    model = (n, m, col.size, _highs.MatrixFormat.kColwise,
+    model = (n, m, index.size, _highs.MatrixFormat.kColwise,
              _highs.ObjSense.kMinimize, 0.0, c, np.full(n, -inf),
-             np.full(n, inf), np.full(m, -inf), b_ub, start,
-             row.astype(np.int32), a_t[col, row], np.zeros(n, dtype=np.int32))
+             np.full(n, inf), np.full(m, -inf), b_ub, start, index, value,
+             np.zeros(n, dtype=np.int32))
 
-    opts = _OPTIONS.get()
-    tol = opts and opts["primal_feasibility_tolerance"]
+    tol = _tolerance()
     solver = _solver()
-    error = _highs.HighsStatus.kError
     for primal in (False, True):  # the primal simplex only after Unknown
-        if (solver.passOptions(_highs_options(tol, primal)) == error
-                or solver.passModel(*model) == error):
-            raise LPSolverError("LP backend rejected the model")
+        _accepted(solver.passOptions(_highs_options(tol, primal)),
+                  solver.passModel(*model))
         solver.run()
-        model_status = solver.getModelStatus()
-        if model_status != _highs.HighsModelStatus.kUnknown:
+        if solver.getModelStatus() != _highs.HighsModelStatus.kUnknown:
             break
+    return _outcome(solver, b_ub)
+
+
+def _compressed(a):
+    """``(start, index, value)`` of the rows of ``a`` in compressed form
+    with exact zeros dropped, as ``csc_array`` stores them: the CSR arrays
+    of ``a``, or the CSC arrays of ``a.T``."""
+    row, col = np.nonzero(a)
+    start = np.zeros(a.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=a.shape[0]), out=start[1:])
+    return start, col.astype(np.int32), a[row, col]
+
+
+def _tolerance() -> float | None:
+    """The tolerance of the open :func:`feasibility_tolerance` block, if any."""
+    opts = _OPTIONS.get()
+    return opts and opts["primal_feasibility_tolerance"]
+
+
+def _accepted(*statuses) -> None:
+    if _highs.HighsStatus.kError in statuses:
+        raise LPSolverError("LP backend rejected the model")
+
+
+def _outcome(solver, b_ub):
+    """``(status, x, fun)`` of ``solver``'s last run on rows with upper
+    bounds ``b_ub``, with ``linprog``'s check of an optimum."""
+    model_status = solver.getModelStatus()
     status = _HIGHS_STATUS.get(model_status)
     if status is None:
         raise LPSolverError(
@@ -307,9 +352,129 @@ def maximize_lazy(c, a_ub, b_ub, working) -> LPResult:
             return maximize(c, a_ub, b_ub)
         if not res.optimal:
             return res
-        excess = np.where(working, -np.inf, a_ub @ res.x - b_ub)
-        violated = np.flatnonzero(excess > _LAZY_TOL)
-        if not violated.size:
+        cuts = _cuts(a_ub, b_ub, working, res.x)
+        if not cuts.size:
             return res
-        worst = np.argsort(-excess[violated], kind="stable")[:_LAZY_BATCH]
-        working[violated[worst]] = True
+        working[cuts] = True
+
+
+def _cuts(a_ub, b_ub, working, x):
+    """The rows outside ``working`` that ``x`` violates by more than
+    ``_LAZY_TOL``, worst first, at most ``_LAZY_BATCH`` of them."""
+    excess = np.where(working, -np.inf, a_ub @ x - b_ub)
+    violated = np.flatnonzero(excess > _LAZY_TOL)
+    worst = np.argsort(-excess[violated], kind="stable")[:_LAZY_BATCH]
+    return violated[worst]
+
+
+class LPSystem:
+    """Many LPs on one row stack: :meth:`maximize` solves ``max c.x  s.t.
+    a_ub x <= b_ub`` over the columns in ``free``, every other column held
+    at zero, as :func:`maximize_lazy` solves ``a_ub[:, free]`` with the row
+    mask ``working``, which grows in place and is kept as :attr:`working`.
+
+    On the direct backend the system owns a ``_Highs`` instance, loaded once
+    with the working rows over every column of the stack.  Between solves
+    only the costs and the column bounds change (bounds ``[0, 0]`` hold a
+    column at zero, which is the LP of the sliced columns), and the rows the
+    optimum violates are appended, so HiGHS starts from the previous basis
+    and skips presolve.  On the ``linprog`` fallback every solve is
+    :func:`maximize_lazy` on the column slice.  On either backend every
+    solve, a cold one included, runs with the :func:`feasibility_tolerance`
+    in force when the system was built.
+
+    The stack is checked once and ``c`` on every solve; failures raise
+    :class:`LPSolverError` as in :func:`maximize`.
+    """
+
+    def __init__(self, a_ub, b_ub, working):
+        a_ub, b_ub = _stack(a_ub, b_ub)
+        if (not isinstance(working, np.ndarray) or working.dtype != bool
+                or working.shape != b_ub.shape):
+            raise LPSolverError("working mask disagrees with the rows")
+        _finite(a_ub=a_ub, b_ub=b_ub)
+        self.a_ub, self.b_ub, self.working = a_ub, b_ub, working
+        self._opts = _OPTIONS.get()
+        self._solver = None
+        if (_backend or _choose_backend()) is _solve_highs:
+            self._load()
+
+    def _load(self) -> None:
+        n, inf = self.a_ub.shape[1], _highs.kHighsInf
+        self._rows = np.flatnonzero(self.working)  # the model's rows, in order
+        self._columns = np.arange(n, dtype=np.int32)
+        tol = _tolerance()
+        self._options = [_highs_options(tol, primal) for primal in (False, True)]
+        start, index, value = _compressed(self.a_ub[self._rows].T)
+        m, zeros = self._rows.size, np.zeros(n)
+        self._solver = _highs._Highs()
+        _accepted(self._solver.passOptions(self._options[0]),
+                  self._solver.passModel(
+                      n, m, index.size, _highs.MatrixFormat.kColwise,
+                      _highs.ObjSense.kMinimize, 0.0, zeros, zeros, zeros,
+                      np.full(m, -inf), self.b_ub[self._rows], start, index,
+                      value, np.zeros(n, dtype=np.int32)))
+
+    def maximize(self, c, free) -> LPResult:
+        """``max c.x`` over the columns ``free`` selects (indices or a
+        boolean mask); ``x`` holds those columns in that order."""
+        c = np.asarray(c, dtype=float)
+        n = self.a_ub.shape[1]
+        held = np.ones(n, dtype=bool)
+        held[free] = False
+        if c.shape != (n,) or held.all():
+            raise LPSolverError("LP shapes disagree with the objective")
+        _finite(c=c)
+        if self._solver is None:
+            return self._cold(maximize_lazy, c[free], self.a_ub[:, free],
+                              self.b_ub, self.working)
+        inf = _highs.kHighsInf
+        _accepted(self._solver.changeColsBounds(
+            n, self._columns, np.where(held, 0.0, -inf), np.where(held, 0.0, inf)))
+        cost = np.where(held, 0.0, -c)
+        while True:
+            status, x, fun = self._run(cost)
+            # As in maximize: "infeasible" is re-checked with a zero objective.
+            if (status == "infeasible" and np.any(cost)
+                    and self._run(np.zeros(n))[0] == "optimal"):
+                status = "unbounded"
+            if status == "unbounded" and not self.working.all():
+                return self._cold(maximize, c[free], self.a_ub[:, free],
+                                  self.b_ub)
+            if status != "optimal":
+                return LPResult(status=status, x=None, value=None)
+            # A held column that is basic may sit within HiGHS's tolerance
+            # of zero; the rows are checked at the sliced LP's point.
+            x[held] = 0.0
+            cuts = _cuts(self.a_ub, self.b_ub, self.working, x)
+            if not cuts.size:
+                return LPResult(status="optimal", x=x[free], value=float(-fun))
+            self.working[cuts] = True
+            self._add(cuts)
+
+    def _cold(self, solve, *args) -> LPResult:
+        """``solve(*args)`` under the options the system was built with."""
+        token = _OPTIONS.set(self._opts)
+        try:
+            return solve(*args)
+        finally:
+            _OPTIONS.reset(token)
+
+    def _run(self, cost):
+        """``(status, x, fun)`` of ``min cost.x`` on the model as it stands,
+        with the primal simplex after an ``Unknown`` from the dual."""
+        solver = self._solver
+        _accepted(solver.changeColsCost(cost.size, self._columns, cost))
+        solver.run()
+        if solver.getModelStatus() == _highs.HighsModelStatus.kUnknown:
+            _accepted(solver.passOptions(self._options[1]))
+            solver.run()
+            _accepted(solver.passOptions(self._options[0]))
+        return _outcome(solver, self.b_ub[self._rows])
+
+    def _add(self, rows) -> None:
+        start, index, value = _compressed(self.a_ub[rows])
+        _accepted(self._solver.addRows(
+            rows.size, np.full(rows.size, -_highs.kHighsInf), self.b_ub[rows],
+            index.size, start[:-1], index, value))
+        self._rows = np.concatenate([self._rows, rows])

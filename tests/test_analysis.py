@@ -402,25 +402,38 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
     np.testing.assert_array_equal(
         model.b_ub[2 * n_int:n_nominal],
         np.concatenate([study.limits.bus_up, -study.limits.bus_dn, [0.0, 0.0]]))
-    checked, lazy = [], lp.maximize_lazy
+    checked, probed, warm = [], [], lp.LPSystem.maximize
 
-    def lazy_then_full(c, a_ub, b_ub, working):
-        # One shape under every mode: [delta, p_B, p_e], with the nominal
-        # rows working from the first solve.
-        assert np.shape(a_ub)[1] == 1 + view.n_i + view.n_e
-        assert working[:n_nominal].all()
-        res = lazy(c, a_ub, b_ub, working)
-        full = lp.maximize(c, a_ub, b_ub)
+    def warm_then_full(system, c, free):
+        # One stack under every mode: [delta per bus, p_B, p_e], the model's
+        # own rows and then the imported facets, with the nominal rows
+        # working from the first solve.
+        assert system.a_ub.shape[1] == n_bus + view.n_i + view.n_e
+        np.testing.assert_array_equal(system.a_ub[:n_own], model.a_ub)
+        assert system.working[:n_nominal].all()
+        # One shape under every mode: [delta, p_B, p_e], the objective on
+        # the one free delta column.
+        free = list(free)
+        assert len(free) == 1 + view.n_i + view.n_e
+        assert free[1:] == list(range(n_bus, n_bus + view.n_i + view.n_e))
+        assert free[0] < n_bus
+        assert np.flatnonzero(c).tolist() == [free[0]]
+        probed.append((free[0], c[free[0]]))
+        res = warm(system, c, free)
+        full = lp.maximize(np.asarray(c)[free], system.a_ub[:, free], system.b_ub)
         assert res.optimal and full.optimal
         assert abs(res.value - full.value) <= 1e-9
-        checked.append(working.sum())
+        checked.append(system.working.sum())
         return res
 
-    monkeypatch.setattr(lp, "maximize_lazy", lazy_then_full)
+    monkeypatch.setattr(lp.LPSystem, "maximize", warm_then_full)
     for mode, imported in rts_imported.items():
         model.solve(mode, imported, model.buses)
     assert len(checked) == 2 * 3 * len(model.buses)
     assert max(checked) < n_own
+    # Each bus in turn, up then down, in every mode.
+    assert probed == [(k, sign) for _ in range(3) for k in range(n_bus)
+                      for sign in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
@@ -475,44 +488,47 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
 
 
 def _neighbor_lp_rows(case, monkeypatch, include_security):
-    """Row counts of the LPs the neighbor model's lazy solves issue."""
-    rows, solve, model_solve, in_model = [], lp.maximize, _NeighborModel.solve, []
+    """Per neighbor solve, the working rows of its LP system before and
+    after the solve and the system's row count; and the model's own row
+    count."""
+    rows, solve = [], lp.LPSystem.maximize
 
-    def counted(c, a_ub, b_ub, *args, **kwargs):
-        if in_model:
-            rows.append(np.shape(a_ub)[0])
-        return solve(c, a_ub, b_ub, *args, **kwargs)
+    def counted(system, c, free):
+        before = system.working.sum()
+        res = solve(system, c, free)
+        rows.append((before, system.working.sum(), system.b_ub.size))
+        return res
 
-    def neighbor_solve(*args, **kwargs):
-        in_model.append(True)
-        try:
-            return model_solve(*args, **kwargs)
-        finally:
-            in_model.pop()
+    monkeypatch.setattr(lp.LPSystem, "maximize", counted)
+    model_init, n_own = _NeighborModel.__init__, []
 
-    monkeypatch.setattr(lp, "maximize", counted)
-    monkeypatch.setattr(_NeighborModel, "solve", neighbor_solve)
+    def init(model, *args, **kwargs):
+        model_init(model, *args, **kwargs)
+        n_own.append(len(model.b_ub))
+
+    monkeypatch.setattr(_NeighborModel, "__init__", init)
     nodal_deviation_report(case, reserve_fraction=0.1,
                            include_neighbor_security=include_security)
-    return rows
+    return rows, n_own
 
 
 def test_neighbor_security_lps_stay_small(rts_case, monkeypatch):
-    rows = _neighbor_lp_rows(rts_case, monkeypatch, True)
-    assert len(rows) >= 144
-    assert max(rows) <= 1000
+    rows, (n_own,) = _neighbor_lp_rows(rts_case, monkeypatch, True)
+    assert len(rows) == 2 * 3 * 24  # directions × modes × buses
+    assert max(after for _, after, _ in rows) <= 1000
+    assert max(after for _, after, _ in rows) < n_own
 
 
 def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
                                                      monkeypatch):
-    rows = _neighbor_lp_rows(rts_case, monkeypatch, False)
+    rows, _ = _neighbor_lp_rows(rts_case, monkeypatch, False)
     view = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
                        rts_case.neighbor_area).view
     n_int, n_b = len(view.internal_lines), view.n_i
     expected = [2 * n_int + 2 * n_b + 2 + rts_imported[mode].poly.nrows
                 for mode in ("passive", "active", "atc")
                 for _ in range(24 * 2)]  # buses × directions
-    assert rows == expected
+    assert rows == [(n, n, n) for n in expected]
 
 
 @pytest.mark.parametrize("level", [1.0, 0.7])

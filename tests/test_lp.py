@@ -1,6 +1,6 @@
 """The LP seam: the direct HiGHS backend against the `linprog` fallback, the
-fallback itself, input checks, and row generation (`maximize_lazy`) against
-one solve on the full stack."""
+fallback itself, input checks, and row generation (`maximize_lazy` and the
+warm `LPSystem`) against one solve on the full stack."""
 
 import contextlib
 import sys
@@ -11,7 +11,7 @@ import pytest
 
 from gridflex import lp
 from gridflex.errors import LPSolverError
-from gridflex.lp import maximize, maximize_lazy
+from gridflex.lp import LPSystem, maximize, maximize_lazy
 
 
 def _bounded_stack(rng, n_rows=300, n_var=5):
@@ -175,7 +175,8 @@ def test_the_bindings_are_loaded_once():
 @pytest.mark.parametrize("drift, fails", [(1e-5, False), (1e-3, True)])
 def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch):
     """An "optimal" point whose rows overshoot by more than linprog's
-    post-solve slack, sqrt(1e-9) * 10, is a backend failure."""
+    post-solve slack, sqrt(1e-9) * 10, is a backend failure, in
+    ``maximize`` and in an ``LPSystem``."""
     real = lp._highs
 
     class Drifting:
@@ -193,11 +194,16 @@ def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch
     monkeypatch.setattr(lp, "_highs", types.SimpleNamespace(
         **{**vars(real), "_Highs": Drifting}))
     monkeypatch.setattr(lp, "_backend", lp._solve_highs)
-    if fails:
-        with pytest.raises(LPSolverError, match="breaks the constraints"):
-            _run("bounded")
-    else:
-        assert _run("bounded").optimal
+    data = _bounded()
+    working = np.ones(len(data["b_ub"]), dtype=bool)
+    for solve in (lambda: _run("bounded"),
+                  lambda: LPSystem(data["a_ub"], data["b_ub"], working).maximize(
+                      data["c"], range(3))):
+        if fails:
+            with pytest.raises(LPSolverError, match="breaks the constraints"):
+                solve()
+        else:
+            assert solve().optimal
 
 
 @direct_only
@@ -411,3 +417,208 @@ def test_mask_only_grows_and_is_deterministic():
         runs.append(working)
     assert runs[0].sum() > 40
     assert np.array_equal(runs[0], runs[1])
+
+
+def _free_sets(rng, n_var, count):
+    """``count`` seeded column subsets of ``range(n_var)``, each of at least
+    two columns, sorted."""
+    return [np.sort(rng.choice(n_var, size=int(rng.integers(2, n_var + 1)),
+                               replace=False)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_system_optimum_matches_the_full_stack(seed):
+    rng = np.random.default_rng(seed)
+    a, b = _bounded_stack(rng)
+    system = LPSystem(a, b, _mask(len(b), 40))
+    for _ in range(4):
+        c = rng.normal(size=a.shape[1])
+        full = maximize(c, a, b)
+        res = system.maximize(c, range(a.shape[1]))
+        assert full.optimal and res.optimal
+        assert res.value == pytest.approx(full.value, abs=1e-9)
+        assert np.all(a @ res.x - b <= 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_system_free_columns_are_the_column_slice(seed):
+    """Holding the other columns at zero solves the LP of the sliced
+    columns: the same status, value and point, in the order of ``free``."""
+    rng = np.random.default_rng(seed)
+    a, b = _bounded_stack(rng, n_var=7)
+    system = LPSystem(a, b, _mask(len(b), 30))
+    for free in _free_sets(rng, 7, 6) + [[5, 0, 3]]:
+        c = rng.normal(size=7)
+        sliced = maximize(c[free], a[:, free], b)
+        res = system.maximize(c, free)
+        assert res.optimal and sliced.optimal
+        assert res.value == pytest.approx(sliced.value, abs=1e-9)
+        np.testing.assert_allclose(res.x, sliced.x, rtol=0, atol=1e-9)
+        # A boolean mask frees the same columns.
+        mask = np.zeros(7, dtype=bool)
+        mask[free] = True
+        assert system.maximize(c, mask).value == pytest.approx(
+            maximize(c[mask], a[:, mask], b).value, abs=1e-9)
+
+
+def _status_cases():
+    """(name, c, a, b, working) whose lazy status is known: an infeasible
+    stack, an unbounded one (on a few and on every working row), a working
+    set that is unbounded on a bounded stack, an unbounded row pair that
+    HiGHS presolve calls infeasible, and the ``Unknown`` LP."""
+    rng = np.random.default_rng(1)
+    a, b = _bounded_stack(rng)
+    a_inf = np.vstack([a, np.eye(5)[:1], -np.eye(5)[:1]])
+    b_inf = np.concatenate([b, [-5.0, -5.0]])
+    a_unb, b_unb = _bounded_stack(np.random.default_rng(4))
+    a_unb[:, 0] = 0.0
+    rng = np.random.default_rng(2)
+    a_one, b_one = _bounded_stack(rng)
+    c_one = rng.normal(size=5)
+    unknown = _unknown_on_dual()
+    n_unknown = len(unknown["b_ub"])
+    return [
+        ("infeasible", np.ones(5), a_inf, b_inf, _mask(len(b_inf), 20)),
+        ("unbounded", np.eye(5)[0], a_unb, b_unb, _mask(len(b_unb), 20)),
+        ("unbounded-all-working", np.eye(5)[0], a_unb, b_unb,
+         _mask(len(b_unb), len(b_unb))),
+        ("unbounded-working-set", c_one, a_one, b_one, _mask(len(b_one), 1)),
+        ("presolve-says-infeasible", np.array([2.0, -1.0, 2.0, 0.0]),
+         np.array([[-2.0, 2.0, 2.0, 1.0], [2.0, -2.0, -2.0, -1.0]]),
+         np.array([1.0, 2.0]), _mask(2, 2)),
+        ("unknown-on-dual", unknown["c"], unknown["a_ub"], unknown["b_ub"],
+         _mask(n_unknown, n_unknown)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_system_statuses_match_maximize_lazy(case):
+    name, c, a, b, working = _status_cases()[case]
+    lazy = maximize_lazy(c, a, b, working.copy())
+    res = LPSystem(a, b, working.copy()).maximize(c, range(a.shape[1]))
+    assert res.status == lazy.status, name
+    if lazy.optimal:
+        assert res.value == pytest.approx(lazy.value, abs=1e-9)
+    assert {"infeasible": "infeasible", "unbounded-working-set": "optimal"}.get(
+        name, "unbounded") == res.status
+    if name == "unbounded-working-set":
+        assert maximize(c, a[working], b[working]).status == "unbounded"
+
+
+def test_system_mask_only_grows_and_is_deterministic():
+    rng = np.random.default_rng(5)
+    a, b = _bounded_stack(rng, n_var=6)
+    costs = rng.normal(size=(6, a.shape[1]))
+    frees = _free_sets(rng, 6, 6)
+    runs = []
+    for _ in range(2):
+        working = _mask(len(b), 40)
+        system = LPSystem(a, b, working)
+        values = []
+        for c, free in zip(costs, frees):
+            before = working.copy()
+            res = system.maximize(c, free)
+            assert res.optimal
+            assert np.all(working[before])
+            values.append(_bits(res))
+        assert system.working is working
+        runs.append((working, values))
+    assert runs[0][0].sum() > 40
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("backend", ["direct", "linprog"])
+@pytest.mark.parametrize("name", ["c", "a_ub", "b_ub"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_system_rejects_non_finite_data(backend, name, bad, monkeypatch):
+    """The stack is checked when the system is built, ``c`` on each solve."""
+    if backend == "direct" and lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS bindings")
+    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
+                                         "linprog": lp._solve_linprog}[backend])
+    data = _neighbor_shaped()
+    data[name] = np.array(data[name], dtype=float)
+    data[name].flat[1] = bad
+    working = _mask(len(data["b_ub"]), 10)
+    with pytest.raises(LPSolverError, match=f"LP data {name} holds"):
+        LPSystem(data["a_ub"], data["b_ub"], working).maximize(data["c"], range(7))
+
+
+def test_system_rejects_shapes_that_disagree():
+    data = _neighbor_shaped()
+    a, b, c = data["a_ub"], data["b_ub"], data["c"]
+    working = _mask(len(b), 10)
+    for args in ((a, b[:-1], working), (a[0], b, working),
+                 (a, b, working[:-1]), (a, b, working.astype(int))):
+        with pytest.raises(LPSolverError, match="disagree"):
+            LPSystem(*args)
+    system = LPSystem(a, b, working)
+    for cost, free in ((c[:-1], range(7)), (c[None, :], range(7)), (c, [])):
+        with pytest.raises(LPSolverError, match="disagree"):
+            system.maximize(cost, free)
+
+
+@pytest.mark.parametrize("backend", ["direct", "linprog"])
+def test_system_keeps_the_tolerance_it_was_built_with(backend, monkeypatch):
+    if backend == "direct" and lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS bindings")
+    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
+                                         "linprog": lp._solve_linprog}[backend])
+    data = _tolerance_sensitive()
+    working = np.ones(len(data["b_ub"]), dtype=bool)
+    assert LPSystem(data["a_ub"], data["b_ub"], working).maximize(
+        data["c"], [0, 1]).status == "infeasible"
+    with lp.feasibility_tolerance(1e-6):
+        system = LPSystem(data["a_ub"], data["b_ub"], working)
+        assert system.maximize(data["c"], [0, 1]).optimal
+    assert system.maximize(data["c"], [0, 1]).optimal
+    with lp.feasibility_tolerance(1e-6):
+        system = LPSystem(data["a_ub"], data["b_ub"], working)
+    assert system.maximize(data["c"], [0, 1]).optimal
+    # A block opened after the system was built does not reach it either.
+    system = LPSystem(data["a_ub"], data["b_ub"], working)
+    with lp.feasibility_tolerance(1e-6):
+        assert system.maximize(data["c"], [0, 1]).status == "infeasible"
+    # Nor the full-stack solve after an unbounded working set.
+    with lp.feasibility_tolerance(1e-6):
+        system = LPSystem(data["a_ub"], data["b_ub"],
+                          np.array([True, False, False, False]))
+    assert system.maximize(data["c"], [0, 1]).optimal
+
+
+def test_system_on_the_fallback_is_maximize_lazy_on_the_slice(monkeypatch):
+    calls, real = [], lp.linprog
+    monkeypatch.setattr(lp, "linprog",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(7)
+    a, b = _bounded_stack(rng, n_var=6)
+    free, c = [0, 2, 3, 5], rng.normal(size=6)
+    expected_mask = _mask(len(b), 30)
+    expected = maximize_lazy(c[free], a[:, free], b, expected_mask)
+    calls.clear()
+    monkeypatch.setattr(lp, "_backend", lp._solve_linprog)
+    working = _mask(len(b), 30)
+    res = LPSystem(a, b, working).maximize(c, free)
+    assert calls
+    assert res.value == pytest.approx(expected.value, abs=1e-9)
+    np.testing.assert_allclose(res.x, expected.x, rtol=0, atol=1e-9)
+    assert np.array_equal(working, expected_mask)
+
+
+@direct_only
+def test_a_system_leaves_the_shared_instance_alone(monkeypatch):
+    """A system solves on its own ``_Highs``: the shared instance gives
+    every LP the same bytes before and after a system has run."""
+    monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+    lps = _mixed_sequence()
+    before = [_bits(maximize(**data)) for data in lps]
+    shared = lp._solver()
+    rng = np.random.default_rng(3)
+    a, b = _bounded_stack(rng, n_var=6)
+    system = LPSystem(a, b, _mask(len(b), 20))
+    for free in _free_sets(rng, 6, 5):
+        assert system.maximize(rng.normal(size=6), free).optimal
+    assert system._solver is not shared
+    assert lp._solver() is shared
+    assert [_bits(maximize(**data)) for data in lps] == before

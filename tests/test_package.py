@@ -3,7 +3,6 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
-import re
 from pathlib import Path
 
 import gridflex
@@ -11,7 +10,14 @@ from gridflex import lp
 from gridflex.analysis import NodalDeviationReport, UtilizationComparison
 from gridflex.polytope import ContainmentResult
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# Per benchmark file, the names through which it reaches gridflex: a module
+# alias, or ``_gf()``, which workloads.py calls for the package.
+BENCHMARK_ROOTS = {
+    "workloads.py": {"gf": gridflex, "_gf()": gridflex, "lp": lp},
+    "setup_probe.py": {"gridflex": gridflex},
+    "record.py": {"gf": gridflex, "gridflex": gridflex},
+}
 
 
 def test_public_names_resolve():
@@ -26,41 +32,81 @@ def test_public_names_resolve():
 
 def test_only_lp_binds_an_lp_function():
     """Every LP goes through ``gridflex.lp``: no other module binds an LP
-    function by name, so patching ``gridflex.lp.maximize`` catches them all."""
+    function or the LP system by name, so patching ``gridflex.lp.maximize``
+    or ``gridflex.lp.LPSystem`` catches them all."""
     modules = [gridflex] + [importlib.import_module(f"gridflex.{m.name}")
                             for m in pkgutil.iter_modules(gridflex.__path__)]
     assert "gridflex.lp" in [m.__name__ for m in modules]
     binders = sorted(m.__name__ for m in modules if m.__name__ != "gridflex.lp"
-                     and (hasattr(m, "maximize") or hasattr(m, "maximize_lazy")))
+                     and any(hasattr(m, name) for name in
+                             ("maximize", "maximize_lazy", "LPSystem")))
     assert binders == []
 
 
-def test_benchmark_entry_points_resolve():
-    """Every ``gf.<name>`` the benchmark workloads call is still bound, and
-    every ``gf.<name>(...)`` and ``lp.maximize(...)`` call there binds to
-    the current signature with its positional count and keyword names."""
-    source = WORKLOADS.read_text()
-    names = set(re.findall(r"\bgf\.(\w+)", source))
-    assert names
-    assert sorted(n for n in names if not hasattr(gridflex, n)) == []
-    calls = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and isinstance(node.func.value, ast.Name)
-             and (node.func.value.id == "gf"
-                  or (node.func.value.id, node.func.attr) == ("lp", "maximize"))]
-    assert calls
-    unbound = []
+def _gridflex_path(node, roots):
+    """``(root, attribute names)`` when ``node`` is an attribute chain on one
+    of ``roots``, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and not node.args and not node.keywords:
+        root = node.func.id + "()"
+    elif isinstance(node, ast.Name):
+        root = node.id
+    else:
+        return None
+    return (root, names) if root in roots and names else None
+
+
+def _unbound_entry_points(name):
+    """The gridflex names and calls of benchmark file ``name`` that no
+    longer resolve or bind, and the number of calls checked."""
+    roots = BENCHMARK_ROOTS[name]
+    tree = ast.parse((PERFBENCH / name).read_text())
+    paths = {node: path for node in ast.walk(tree)
+             if (path := _gridflex_path(node, roots))}
+    # Only the longest chain: ``gridflex.lp.maximize``, not also ``gridflex.lp``.
+    inner = {node.value for node in paths if isinstance(node, ast.Attribute)}
+    unbound, resolved = [], {}
+    for node, (root, names) in paths.items():
+        if node in inner:
+            continue
+        owner = roots[root]
+        for attr in names:
+            if not hasattr(owner, attr):
+                unbound.append(f"{name} line {node.lineno}: {ast.unparse(node)}")
+                break
+            owner = getattr(owner, attr)
+        else:
+            resolved[node] = owner
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.func in resolved
+             and not inspect.ismodule(resolved[node.func])]
     for call in calls:
-        owner = gridflex if call.func.value.id == "gf" else lp
         assert not any(isinstance(arg, ast.Starred) for arg in call.args)
         assert all(kw.arg is not None for kw in call.keywords)
         try:
-            inspect.signature(getattr(owner, call.func.attr)).bind(
+            inspect.signature(resolved[call.func]).bind(
                 *call.args, **{kw.arg: kw.value for kw in call.keywords})
         except TypeError as exc:
-            unbound.append(f"line {call.lineno}: {call.func.value.id}."
-                           f"{call.func.attr} ({exc})")
+            unbound.append(f"{name} line {call.lineno}: "
+                           f"{ast.unparse(call.func)} ({exc})")
+    return unbound, len(calls)
+
+
+def test_benchmark_entry_points_resolve():
+    """Every gridflex name the benchmark's files reach (``gf.<name>`` and
+    ``_gf().<name>`` and ``lp.maximize`` in workloads.py, ``gridflex.<name>``
+    in setup_probe.py, ``gf.<name>`` and ``gridflex.lp.<name>`` in
+    record.py) is still bound, and every call of one binds to the current
+    signature with its positional count and keyword names."""
+    unbound = []
+    for name in BENCHMARK_ROOTS:
+        failures, n_calls = _unbound_entry_points(name)
+        assert n_calls, name
+        unbound += failures
     assert unbound == []
 
 

@@ -5,11 +5,15 @@
 Runs one pass of each workload in ``perfbench/workloads.py`` in-process
 (cli-commands too), then acceptance criterion 2 of
 ``tests/test_acceptance.py``, recording every ``gridflex.lp.maximize``
-call, also where the acceptance module binds the name.  The package
-itself calls every LP through ``gridflex.lp``, ``maximize_lazy`` included.
-Prints per workload the LP count and a SHA-256 digest over each call's
-inputs (shapes and bytes), status, ``x`` and value.  Two trees that print
-the same digests solved the same LPs, in the same order, to the same bits.
+call, also where the acceptance module binds the name, and every
+``gridflex.lp.LPSystem`` solve.  The package itself calls every LP through
+``gridflex.lp``: ``maximize_lazy`` solves through ``maximize``, and the
+neighbor deviation LPs through an ``LPSystem``.  Prints per workload the LP
+count (a system solve counts as one) and a SHA-256 digest over each call's
+inputs (shapes and bytes), status, ``x`` and value; a system's stack and
+first working rows are digested once, when it is built.  Two trees that
+print the same digests solved the same LPs, in the same order, to the same
+bits.
 
 A last line, ``artifacts``, runs a fixed battery of CLI commands
 in-process and prints the number of artifacts they wrote and a SHA-256
@@ -51,32 +55,55 @@ _CLI_RUNS = (
 )
 
 
+def _update(sha, *values) -> None:
+    """Feed each value's shape and float bytes to ``sha``; None counts as
+    NaN."""
+    for value in values:
+        data = np.asarray(np.nan if value is None else value, dtype=float)
+        sha.update(repr(data.shape).encode() + data.tobytes())
+
+
 @contextlib.contextmanager
 def _recording(*owners):
     """Digest every ``maximize`` call in the block, made through
     ``gridflex.lp`` or through an ``owners`` module's own binding of the
-    name; yields ``[count, sha]``."""
+    name, and every ``LPSystem`` solve: a system's stack and first working
+    rows once when it is built, then per solve its ``c``, ``free`` and
+    result.  Yields ``[count, sha]``; a system solve counts as one LP."""
     real, log = lp.maximize, [0, hashlib.sha256()]
+    system_init, system_solve = lp.LPSystem.__init__, lp.LPSystem.maximize
 
     def maximize(c, a_ub, b_ub):
         res = real(c, a_ub, b_ub)
         log[0] += 1
         # The three None stand where the seam once took equalities and
         # bounds, so digests stay comparable with those of older trees.
-        for value in (c, a_ub, b_ub, None, None, None, res.x, res.value):
-            data = np.asarray(np.nan if value is None else value, dtype=float)
-            log[1].update(repr(data.shape).encode() + data.tobytes())
+        _update(log[1], c, a_ub, b_ub, None, None, None, res.x, res.value)
+        log[1].update(res.status.encode())
+        return res
+
+    def init(system, a_ub, b_ub, working):
+        system_init(system, a_ub, b_ub, working)
+        log[1].update(b"system")
+        _update(log[1], system.a_ub, system.b_ub, working)
+
+    def solve(system, c, free):
+        res = system_solve(system, c, free)
+        log[0] += 1
+        _update(log[1], c, free, res.x, res.value)
         log[1].update(res.status.encode())
         return res
 
     owners = (lp,) + owners
     for owner in owners:
         owner.maximize = maximize
+    lp.LPSystem.__init__, lp.LPSystem.maximize = init, solve
     try:
         yield log
     finally:
         for owner in owners:
             owner.maximize = real
+        lp.LPSystem.__init__, lp.LPSystem.maximize = system_init, system_solve
 
 
 def _artifacts(tmp: Path, errors: list) -> tuple[int, str]:
