@@ -2,11 +2,13 @@
 
 Every LP in this package has one form, ``max c.x`` subject to
 ``A x <= b`` over free variables, and is solved here: one at a time by
-:func:`maximize` (or :func:`maximize_lazy`, which calls it), or as one of
-many LPs on a fixed row stack by an :class:`LPSystem`, which solves each
-over a subset of the stack's columns with the others held at zero.
-Callers write an equality as a row pair and a variable's bounds as rows
-of their own.
+:func:`maximize`, or as one of many LPs on a fixed row stack by an
+:class:`LPSystem`, which solves each over a subset of the stack's columns
+with the others held at zero.  The support LPs of a projection and the
+neighbor deviation LPs run on systems; every other LP runs through
+:func:`maximize`.  :func:`maximize_lazy` is no seam of its own: it is the
+body of a system's solve on the ``linprog`` fallback.  Callers write an
+equality as a row pair and a variable's bounds as rows of their own.
 
 The backend is the HiGHS dual simplex that scipy bundles, which is
 deterministic for fixed inputs.  :func:`maximize` hands it the model
@@ -43,7 +45,9 @@ one above never sees its model and still gives each LP the bytes of a fresh
 instance.  Its model stays loaded between solves: only costs and column
 bounds change, and violated rows are appended, so each solve starts from
 the previous basis and, once there is one, skips presolve.  The last digits
-of a system's optimum can therefore depend on the solves it ran before.
+of a system's optimum can therefore depend on the solves it ran before, so
+those of a projection's facets and of a neighbor bound depend on the order
+of their LPs.
 No instance, shared or owned, may be used by two threads at once; nothing
 in the package starts a thread.
 
@@ -344,7 +348,8 @@ def maximize_lazy(c, a_ub, b_ub, working) -> LPResult:
     adding the worst full-stack rows the optimum violates until it violates
     none (Kelley's cutting planes); ``working`` grows in place.
     "Infeasible" on the working rows is final; "unbounded" falls back to one
-    solve on the full stack."""
+    solve on the full stack.  An :class:`LPSystem` solves with it on the
+    ``linprog`` fallback; the direct backend runs the same rule warm."""
     a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
     while True:
         res = maximize(c, a_ub[working], b_ub[working])

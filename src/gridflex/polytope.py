@@ -5,12 +5,14 @@ operations here are exact up to LP tolerances.  :func:`project` is
 output-sensitive: it refines an inner hull of support-LP optima until
 an LP confirms every hull facet (the convex-hull method of Lassez &
 Lassez), so its LP count follows the facets of the projection, not the
-rows of the system.  Each support LP runs on a working set of rows that
-grows only by the rows its optimum violates.  Keeping every column
-takes the same path.  The facets of the inner hull come from numpy:
-every ``d``-subset of the optima spans a hyperplane, and the ones with
-all optima on one side are the facets (Qhull, imported only when the
-subsets are too many, does it for large point sets).
+rows of the system.  The support LPs of one projection share one warm
+:class:`lp.LPSystem`: a working set of rows that grows only by the rows
+an optimum violates, each LP starting from the previous one's basis.
+Keeping every column takes the same path.  The facets of the inner hull
+come from numpy: every ``d``-subset of the optima spans a hyperplane,
+and the ones with all optima on one side are the facets (Qhull,
+imported only when the subsets are too many, does it for large point
+sets).
 
 Equality constraints are always encoded as inequality pairs, so flat
 sets (no interior) are first-class citizens throughout.
@@ -269,9 +271,12 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     the set flat there (the two values within ``tol``); a flat direction
     becomes a row pair and the refinement runs inside the affine hull.
 
-    Every LP solves on one working set of rows that starts at the
-    single-coefficient (box) rows and grows by the rows an optimum
-    violates, so no LP needs the whole system.  The rows come out
+    Every LP solves on one :class:`lp.LPSystem`, built once per call
+    under the :func:`lp.feasibility_tolerance` in force, whose working set
+    of rows starts at the single-coefficient (box) rows and grows by the
+    rows an optimum violates, so no LP needs the whole system.  Each LP
+    starts from the previous one's basis, so the last digits of a value
+    can depend on the order of the LPs.  The rows come out
     normalized and sorted, one per facet (a flat set adds its affine
     hull's row pairs), also when every column is kept.  A hull with more
     than ``row_cap`` facets raises :class:`ProjectionSizeError`; an empty
@@ -282,7 +287,9 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     poly = normalize_rows(poly)
     cols = [poly.column(l) for l in keep]
     dim = len(cols)
-    working = np.count_nonzero(poly.A, axis=1) == 1
+    system = lp.LPSystem(poly.A, poly.b,
+                         np.count_nonzero(poly.A, axis=1) == 1)
+    every = np.ones(poly.dim, dtype=bool)
     values: dict[bytes, float] = {}  # support value per solved direction
 
     def key(normal):
@@ -291,7 +298,7 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     def support(normal):
         c = np.zeros(poly.dim)
         c[cols] = normal
-        res = lp.maximize_lazy(c, poly.A, poly.b, working)
+        res = system.maximize(c, every)
         if res.status == "infeasible":
             raise InfeasibleSetError("cannot project an empty polytope")
         if res.status == "unbounded":

@@ -490,23 +490,34 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
 def _neighbor_lp_rows(case, monkeypatch, include_security):
     """Per neighbor solve, the working rows of its LP system before and
     after the solve and the system's row count; and the model's own row
-    count."""
-    rows, solve = [], lp.LPSystem.maximize
+    count.  Only the solves inside ``_NeighborModel.solve`` count: the
+    exports' projections solve on systems of their own."""
+    rows, solve, inside = [], lp.LPSystem.maximize, []
 
     def counted(system, c, free):
         before = system.working.sum()
         res = solve(system, c, free)
-        rows.append((before, system.working.sum(), system.b_ub.size))
+        if inside:
+            rows.append((before, system.working.sum(), system.b_ub.size))
         return res
 
     monkeypatch.setattr(lp.LPSystem, "maximize", counted)
-    model_init, n_own = _NeighborModel.__init__, []
+    model_init, model_solve, n_own = (_NeighborModel.__init__,
+                                      _NeighborModel.solve, [])
 
     def init(model, *args, **kwargs):
         model_init(model, *args, **kwargs)
         n_own.append(len(model.b_ub))
 
+    def neighbor_solve(model, *args, **kwargs):
+        inside.append(model)
+        try:
+            return model_solve(model, *args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(_NeighborModel, "__init__", init)
+    monkeypatch.setattr(_NeighborModel, "solve", neighbor_solve)
     nodal_deviation_report(case, reserve_fraction=0.1,
                            include_neighbor_security=include_security)
     return rows, n_own
@@ -549,18 +560,28 @@ def test_rts_projections_match_fm(rts_case, level):
 
 
 def test_rts_active_n1_export_lps_stay_small(rts_case, monkeypatch):
-    """No LP of the RTS-96 active N-1 export sees the whole 5,686-row stack."""
-    rows, solve = [], lp.maximize
+    """No LP of the RTS-96 active N-1 export sees the whole 5,686-row stack:
+    neither a support LP on the projection's system, whose working rows
+    stay few after every solve, nor a cold one (the full-stack solve after
+    an unbounded working set)."""
+    working, cold, warm, solve = [], [], lp.LPSystem.maximize, lp.maximize
 
-    def counted(c, a_ub, b_ub, *args, **kwargs):
-        rows.append(np.shape(a_ub)[0])
+    def warm_counted(system, c, free):
+        res = warm(system, c, free)
+        working.append(int(system.working.sum()))
+        return res
+
+    def cold_counted(c, a_ub, b_ub, *args, **kwargs):
+        cold.append(np.shape(a_ub)[0])
         return solve(c, a_ub, b_ub, *args, **kwargs)
 
-    monkeypatch.setattr(lp, "maximize", counted)
+    monkeypatch.setattr(lp.LPSystem, "maximize", warm_counted)
+    monkeypatch.setattr(lp, "maximize", cold_counted)
     spec = FlexibilitySpec("active", "n1", ReserveConfig(mode="full"))
     external_polytope(rts_case, spec)
-    assert len(rows) >= 2 * 3
-    assert max(rows) <= 200
+    assert len(working) >= 2 * 3
+    assert max(working) <= 200
+    assert max(cold, default=0) <= 200
 
 
 def test_study_solves_one_full_network_shift(rts_case, monkeypatch):

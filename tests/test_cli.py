@@ -286,14 +286,21 @@ def test_feas_tol_stays_inside_one_invocation(runner, tmp_path):
 def test_every_lp_solves_at_the_feas_tol_given(runner, tmp_path, monkeypatch,
                                                given, expected):
     """An explicit ``--feas-tol 1e-8`` reaches HiGHS, and so does the
-    default, HiGHS's own 1e-7."""
-    seen, solve = [], lp.maximize
+    default, HiGHS's own 1e-7: every cold LP runs under it, and every LP
+    system (the projection's support LPs) is built under it, which is
+    the tolerance its solves keep."""
+    seen, solve, build = [], lp.maximize, lp.LPSystem.__init__
 
     def recording(*args):
         seen.append(lp._OPTIONS.get())
         return solve(*args)
 
+    def built(system, *args):
+        seen.append(lp._OPTIONS.get())
+        build(system, *args)
+
     monkeypatch.setattr(lp, "maximize", recording)
+    monkeypatch.setattr(lp.LPSystem, "__init__", built)
     _config_hash(runner, tmp_path, *given)
     assert seen
     assert all(opts == {"primal_feasibility_tolerance": expected,

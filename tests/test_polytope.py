@@ -149,13 +149,19 @@ def test_eliminate_cube_face():
     assert np.allclose(np.sort(r.b), 1.0)
 
 
-def test_project_hexagon():
+def _toy_hexagon():
+    """The toy hexagon as a flat 3-D set: the unit box cut by the balance
+    row pair ``i + e0 + e1 = 0``, whose shadow on ``(e0, e1)`` is the
+    hexagon."""
     balance = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
-    a = np.vstack([np.eye(3), -np.eye(3), balance])
-    b = np.concatenate([np.ones(6), np.zeros(2)])
-    p = HPolytope(a, b, ("i", "e1", "e2"))
-    shadow = project(p, ["e1", "e2"])
-    expected = HPolytope(hexagon().A, hexagon().b, ("e1", "e2"))
+    return HPolytope(np.vstack([np.eye(3), -np.eye(3), balance]),
+                     np.concatenate([np.ones(6), np.zeros(2)]),
+                     ("i", "e0", "e1"))
+
+
+def test_project_hexagon():
+    shadow = project(_toy_hexagon(), ["e0", "e1"])
+    expected = HPolytope(hexagon().A, hexagon().b, ("e0", "e1"))
     assert contains(shadow, expected, tol=1e-9).contained
     assert contains(expected, shadow, tol=1e-9).contained
     assert area_2d(shadow) == pytest.approx(3.0, abs=1e-9)
@@ -171,18 +177,79 @@ def test_project_identity_is_minimal():
 
 def test_project_solves_no_direction_twice(monkeypatch):
     """A hull facet along a start direction ``-e_j`` reuses its LP value."""
-    solve, directions = lp.maximize_lazy, []
+    solve, directions = lp.LPSystem.maximize, []
 
-    def recording(c, *args, **kwargs):
+    def recording(system, c, free):
         directions.append(tuple(c.tolist()))
-        return solve(c, *args, **kwargs)
+        return solve(system, c, free)
 
-    monkeypatch.setattr(lp, "maximize_lazy", recording)
+    monkeypatch.setattr(lp.LPSystem, "maximize", recording)
     r = project(box([(0, 1)] * 3), ["x0", "x2"])
+    assert directions
     assert len(directions) == len(set(directions))
     assert np.allclose(vertices_2d(r).min(axis=0), 0.0)
     assert np.allclose(vertices_2d(r).max(axis=0), 1.0)
     assert area_2d(r) == pytest.approx(1.0, abs=1e-9)
+
+
+def _shadow_instances(seed, count=6):
+    """Seeded sets shaped like the shadow-oracle benchmark's: a box, the
+    balance row pair and five random rows over 1-3 internal columns and
+    the kept ``e0``, ``e1``."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n_i = 1 + k % 3
+        dim = n_i + 2
+        hi, lo = 0.5 + rng.random(dim), -(0.5 + rng.random(dim))
+        a = np.vstack([np.eye(dim), -np.eye(dim), np.ones((1, dim)),
+                       -np.ones((1, dim)), rng.normal(size=(5, dim))])
+        b = np.concatenate([hi, -lo, np.zeros(2),
+                            np.abs(rng.normal(size=5)) + 0.3])
+        yield HPolytope(a, b, tuple(f"i{j}" for j in range(n_i)) + ("e0", "e1"))
+
+
+@pytest.mark.parametrize("source", ["hexagon", 0, 1, 2])
+def test_project_on_the_fallback_matches_the_direct_backend(source, monkeypatch):
+    """On the ``linprog`` fallback the projection's system solves every
+    support LP cold; it finds the same facets as the warm direct backend."""
+    polys = [_toy_hexagon()] if source == "hexagon" else list(
+        _shadow_instances(source))
+    for poly in polys:
+        monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+        direct = project(poly, ["e0", "e1"])
+        monkeypatch.setattr(lp, "_backend", lp._solve_linprog)
+        fallback = project(poly, ["e0", "e1"])
+        assert fallback.nrows == direct.nrows
+        assert contains(direct, fallback, tol=1e-9).contained
+        assert contains(fallback, direct, tol=1e-9).contained
+
+
+@pytest.mark.parametrize("backend", ["_solve_highs", "_solve_linprog"])
+def test_project_builds_one_system_per_call(backend, monkeypatch):
+    """Every support LP of one projection solves on one ``LPSystem``; on
+    the direct backend, a set its box rows bound needs no cold LP."""
+    systems, cold, build, solve = [], [], lp.LPSystem.__init__, lp.maximize
+
+    def counted(system, *args):
+        systems.append(system)
+        build(system, *args)
+
+    def recorded(*args):
+        cold.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "_backend", getattr(lp, backend))
+    monkeypatch.setattr(lp.LPSystem, "__init__", counted)
+    monkeypatch.setattr(lp, "maximize", recorded)
+    for poly in [_toy_hexagon(), *_shadow_instances(0)]:
+        systems.clear()
+        cold.clear()
+        project(poly, ["e0", "e1"])
+        assert len(systems) == 1
+        if backend == "_solve_highs":
+            assert cold == []
+        else:
+            assert cold
 
 
 def test_project_reorders_columns():

@@ -7,13 +7,13 @@ Runs one pass of each workload in ``perfbench/workloads.py`` in-process
 ``tests/test_acceptance.py``, recording every ``gridflex.lp.maximize``
 call, also where the acceptance module binds the name, and every
 ``gridflex.lp.LPSystem`` solve.  The package itself calls every LP through
-``gridflex.lp``: ``maximize_lazy`` solves through ``maximize``, and the
-neighbor deviation LPs through an ``LPSystem``.  Prints per workload the LP
-count (a system solve counts as one) and a SHA-256 digest over each call's
-inputs (shapes and bytes), status, ``x`` and value; a system's stack and
-first working rows are digested once, when it is built.  Two trees that
-print the same digests solved the same LPs, in the same order, to the same
-bits.
+``gridflex.lp``: the support LPs of a projection and the neighbor deviation
+LPs solve on an ``LPSystem``, every other LP through ``maximize``.  Prints
+per workload the LP count (a system solve counts as one) and a SHA-256
+digest over each call's inputs (shapes and bytes), status, ``x`` and value;
+a system's stack and first working rows are digested once, when it is
+built.  Two trees that print the same digests solved the same LPs, in the
+same order, to the same bits.
 
 A last line, ``artifacts``, runs a fixed battery of CLI commands
 in-process and prints the number of artifacts they wrote and a SHA-256
