@@ -38,7 +38,8 @@ from .errors import (CaseError, GridflexError, InfeasibleSetError,
 from .network import (AreaView, NetworkCase, ReserveConfig, configure_reserves,
                       partition)
 from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
-                       contains, hull_2d, polygon_area, project, vertices)
+                       contains, hull_2d, polygon_area, project, tightest_rows,
+                       vertices)
 from .sensitivity import (GgdfMatrix, LodfMatrix, NetworkShift, PtdfMatrix,
                           ScheduledFlows, compute_dc_flows, compute_ggdf,
                           compute_lodf, compute_ptdf, network_shift)
@@ -364,58 +365,81 @@ def compare_utilization(active_fe: ExternalPolytope, atc_fe: ExternalPolytope,
     )
 
 
+def _neighbor_stack(study: Study, include_security: bool):
+    """The neighbor's assembled rows ``(a_ub, b_ub, nominal)`` over the
+    columns ``[delta per bus..., p_B..., p_e...]``, before any merge;
+    ``nominal`` marks the rows of :func:`assemble_nominal`.
+
+    The rows are built once, over a PTDF whose internal columns are
+    extended by ``nodal``, one bus column per neighbor bus.  The tie line
+    and tie source bands are dropped by their label, since the imported
+    facets bound the ties; the tie columns are flipped into the exporter's
+    convention, and the line outages are pinned to internal lines.
+    """
+    view, ptdf, limits = study.view, study.ptdf, study.limits
+    ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, ptdf.nodal]))
+    block = assemble_nominal(view, ext, limits)
+    if include_security:
+        internal = tuple(ln.id for ln in view.internal_lines)
+        outages = tuple(o for o in study.lodf.outage_ids if o in internal)
+        block = stack_n1(
+            block,
+            assemble_generator_outages(view, ext, study.ggdf, limits,
+                                       study.dispatched),
+            assemble_line_outages(view, ext, study.lodf, limits,
+                                  study.flows, outages=outages))
+    tie_rows = tuple(f":{kind}:{t.line.id}:{side}" for t in view.ties
+                     for kind in ("line", "ext") for side in ("up", "dn"))
+    keep = [not label.endswith(tie_rows) for label in block.labels]
+    a, n_b, n_i = block.a[keep], view.n_i, block.n_i
+    nominal = np.array([label.startswith("N:") for label, k
+                        in zip(block.labels, keep) if k], dtype=bool)
+    return (np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]]),
+            block.b[keep], nominal)
+
+
 class _NeighborModel:
     """Per-bus deviation LPs in the neighbor area.
 
     Variables are ``[delta, p_B..., p_e...]``: the probed bus disturbance,
     the neighbor's own reserve deviations (one per source bus) and the tie
     imports in the exporter's convention.  Every row comes from the
-    exporter's assemblers, minus the tie rows: :func:`assemble_nominal`'s
-    internal line band, reserve bands and balance ``delta + sum(p_B) +
-    sum(p_e) = 0`` (ties in the neighbor's convention), with security the
-    outage bands, then the imported facets over ``p_e`` in every mode.
+    exporter's assemblers, minus the tie rows (:func:`_neighbor_stack`):
+    :func:`assemble_nominal`'s internal line band, reserve bands and
+    balance ``delta + sum(p_B) + sum(p_e) = 0`` (ties in the neighbor's
+    convention), with security the outage bands, then the imported facets
+    over ``p_e`` in every mode.
 
-    The rows are built once, over a PTDF whose internal columns are
-    extended by ``nodal``, one bus column per neighbor bus, so the stack's
-    columns are ``[delta per bus..., p_B..., p_e...]``.  The tie line and
-    tie source bands are dropped by their label, since the imported facets
-    bound the ties; the tie columns are flipped into the exporter's
-    convention, and the line outages are pinned to internal lines.  Each
-    mode solves on one :class:`lp.LPSystem` over the stack plus the imported
-    facets, freeing the probed bus's ``delta`` column with ``p_B`` and
-    ``p_e``; its working rows start from the nominal ones and carry over
-    from one mode to the next.
+    Of the assembled rows, one per direction stays, picked by
+    :func:`polytope.tightest_rows` as :func:`polytope.normalize_rows`
+    picks it; the kept rows stay as assembled, unscaled and in their
+    order.  With neighbor security on RTS-96 that leaves 906 of 4,890
+    rows.  All zero rows share one direction, so one with a negative
+    offset stays and makes every LP infeasible.  Each mode solves on one :class:`lp.LPSystem` over the
+    kept rows plus the imported facets, freeing the probed bus's ``delta``
+    column with ``p_B`` and ``p_e``; its working rows start from the kept
+    nominal ones and carry over from one mode to the next.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
-        view, ptdf, limits = study.view, study.ptdf, study.limits
-        self.view = view
-        self.buses = tuple(b.id for b in view.buses)
-        ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, ptdf.nodal]))
-        block = assemble_nominal(view, ext, limits)
-        if include_security:
-            internal = tuple(ln.id for ln in view.internal_lines)
-            outages = tuple(o for o in study.lodf.outage_ids if o in internal)
-            block = stack_n1(
-                block,
-                assemble_generator_outages(view, ext, study.ggdf, limits,
-                                           study.dispatched),
-                assemble_line_outages(view, ext, study.lodf, limits,
-                                      study.flows, outages=outages))
-        tie_rows = tuple(f":{kind}:{t.line.id}:{side}" for t in view.ties
-                         for kind in ("line", "ext") for side in ("up", "dn"))
-        keep = [not label.endswith(tie_rows) for label in block.labels]
-        a, n_b, n_i = block.a[keep], view.n_i, block.n_i
-        # Columns [delta per bus..., p_B..., p_e...], ties flipped.
-        self.a_ub = np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]])
-        self.b_ub = block.b[keep]
-        # Working rows of the lazy solves: nominal first, grown by each solve.
-        self.working = np.array([label.startswith("N:") for label, k
-                                 in zip(block.labels, keep) if k], dtype=bool)
+        self.view = study.view
+        self.buses = tuple(b.id for b in study.view.buses)
+        a, b, nominal = _neighbor_stack(study, include_security)
+        kept = tightest_rows(a, b)
+        self.a_ub, self.b_ub = a[kept], b[kept]
+        # Working rows of the lazy solves: the kept nominal rows first,
+        # grown by each solve.
+        self.working = nominal[kept]
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
-        """``(max_up, max_dn)`` of every bus in ``buses``; ``mode`` only
-        names the imported set in error messages."""
+        """``(max_up, max_dn)`` of every bus in ``buses``, in that order;
+        ``mode`` only names the imported set in error messages.
+
+        Every requested bus is probed up, in :attr:`buses` order, and then
+        every one down: a down LP's objective is the negation of its up
+        LP's, so the previous up optimum is a poor start for it, while the
+        next bus's up LP starts near it.
+        """
         view = self.view
         for bus in buses:
             if bus not in self.buses:
@@ -430,25 +454,24 @@ class _NeighborModel:
             np.concatenate([self.b_ub, facets.b]),
             np.concatenate([self.working, np.ones(facets.nrows, dtype=bool)]))
         rest = list(range(n_bus, n_col))
-        results = []
-        for bus in buses:
-            k = self.buses.index(bus)
-            up_dn = []
-            for sign in (1.0, -1.0):
+        probed = sorted({self.buses.index(bus) for bus in buses})
+        value = {}
+        for sign in (1.0, -1.0):
+            for k in probed:
                 c = np.zeros(n_col)
                 c[k] = sign
                 res = system.maximize(c, [k] + rest)
                 if res.status == "infeasible":
-                    raise InfeasibleSetError(
-                        f"deviation study infeasible at bus {bus} (mode {mode})")
+                    raise InfeasibleSetError(f"deviation study infeasible at "
+                                             f"bus {self.buses[k]} (mode {mode})")
                 if res.status == "unbounded":
                     raise UnboundedSetError(
-                        f"deviation study unbounded at bus {bus} (mode {mode}); "
-                        "a bound is missing")
-                up_dn.append(float(sign * res.value))
-            results.append(tuple(up_dn))
+                        f"deviation study unbounded at bus {self.buses[k]} "
+                        f"(mode {mode}); a bound is missing")
+                value[k, sign] = float(sign * res.value)
         self.working = system.working[:len(self.b_ub)]
-        return results
+        return [(value[k, 1.0], value[k, -1.0])
+                for k in map(self.buses.index, buses)]
 
 
 def _with_unit_range(exporter: Study, fe: ExternalPolytope) -> ExternalPolytope:

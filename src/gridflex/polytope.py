@@ -112,7 +112,40 @@ def _empty(labels) -> HPolytope:
 def _direction_key(a: np.ndarray) -> np.ndarray:
     """``a`` rounded to ``_DUP_DECIMALS``, with -0.0 read as 0.0, so that
     directions equal in value have equal bytes."""
-    return np.round(a, _DUP_DECIMALS) + 0.0
+    key = np.round(a, _DUP_DECIMALS)
+    key += 0.0  # in place: no second array of keys
+    return key
+
+
+def _unit_rows(a: np.ndarray, b: np.ndarray):
+    """``a`` and ``b`` with every row scaled to unit norm.  A row of norm
+    at most ``_ZERO_ROW_TOL`` becomes the zero row and keeps its offset."""
+    norms = np.linalg.norm(a, axis=1)
+    zero = norms <= _ZERO_ROW_TOL
+    # A row divided by inf is the zero row.
+    return (a / np.where(zero, np.inf, norms)[:, None],
+            b / np.where(zero, 1.0, norms))
+
+
+def tightest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows ``a x <= b`` kept when parallel rows
+    merge, one per :func:`_direction_key` of the rows scaled to unit norm
+    (all zero rows share the zero key).
+
+    Walking the rows in lexsort order of their keys, the first row of a
+    key is kept until a row of that key has a scaled offset more than
+    1e-15 below the kept one's.
+    """
+    unit, offset = _unit_rows(a, b)
+    key = _direction_key(unit)
+    # Python floats compare and subtract as float64 do, at a lower cost.
+    offset = offset.tolist()
+    best: dict[bytes, int] = {}
+    for i in np.lexsort(key.T[::-1]).tolist():
+        tag = key[i].tobytes()
+        if tag not in best or offset[i] < offset[best[tag]] - 1e-15:
+            best[tag] = i
+    return np.array(sorted(best.values()), dtype=np.intp)
 
 
 def normalize_rows(poly: HPolytope) -> HPolytope:
@@ -121,30 +154,18 @@ def normalize_rows(poly: HPolytope) -> HPolytope:
     Zero rows with nonnegative offsets hold everywhere and disappear; a
     zero row with a negative offset makes the set empty and collapses
     the description to the canonical empty system.  Rows sharing one
-    normal direction keep only the tightest offset.
+    normal direction keep only the tightest offset, as
+    :func:`tightest_rows` picks it, in their original order.
     """
     a, b = poly.A, poly.b
-    norms = np.linalg.norm(a, axis=1)
-    zero = norms <= _ZERO_ROW_TOL
+    zero = np.linalg.norm(a, axis=1) <= _ZERO_ROW_TOL
     if np.any(zero & (b < -_ZERO_ROW_TOL)):
         return _empty(poly.labels)
-    a, b, norms = a[~zero], b[~zero], norms[~zero]
+    a, b = a[~zero], b[~zero]
     if a.shape[0] == 0:
         return HPolytope(a.reshape(0, poly.dim), b, poly.labels)
-    a = a / norms[:, None]
-    b = b / norms
-    key = _direction_key(a)
-    order = np.lexsort(key.T[::-1])
-    best: dict[bytes, int] = {}
-    keep_offset = {}
-    for i in order:
-        tag = key[i].tobytes()
-        if tag not in best or b[i] < keep_offset[tag] - 1e-15:
-            best[tag] = i
-            keep_offset[tag] = b[i]
-    keep = np.zeros(a.shape[0], dtype=bool)
-    keep[list(best.values())] = True
-    return HPolytope(a[keep], b[keep], poly.labels)
+    keep = tightest_rows(a, b)
+    return HPolytope(*_unit_rows(a[keep], b[keep]), poly.labels)
 
 
 def is_feasible(poly: HPolytope):

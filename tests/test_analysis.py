@@ -11,7 +11,7 @@ from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
                       exported_flexibility, external_polytope, is_feasible,
                       nodal_deviation_report, prepare, project,
                       scale_load, vertices_2d)
-from gridflex import analysis, lp, sensitivity
+from gridflex import analysis, lp, polytope, sensitivity
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
 from conftest import triangle_tie_dict
@@ -389,28 +389,31 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
     row stack plus the imported facets."""
     study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=fraction),
                         rts_case.neighbor_area)
+    a_all, b_all, nominal = analysis._neighbor_stack(study, include_security=True)
     model = _NeighborModel(study, include_security=True)
-    n_own, view = len(model.b_ub), study.view
+    n_own, view, start = len(model.b_ub), study.view, model.working.copy()
     n_int, n_b, n_bus = len(view.internal_lines), view.n_i, len(model.buses)
-    # The line band, the reserve bands and the balance pair.
+    # The assembled block, before the merge: the line band, the reserve
+    # bands and the balance pair, then the outage rows.
     n_nominal = 2 * (n_int + n_b + 1)
+    assert nominal[:n_nominal].all() and not nominal[n_nominal:].any()
     band = np.hstack([np.zeros((n_b, n_bus)), np.eye(n_b),
                       np.zeros((n_b, view.n_e))])
     balance = np.concatenate([np.ones(n_bus + n_b), -np.ones(view.n_e)])
-    np.testing.assert_array_equal(model.a_ub[2 * n_int:n_nominal],
+    np.testing.assert_array_equal(a_all[2 * n_int:n_nominal],
                                   np.vstack([band, -band, balance, -balance]))
     np.testing.assert_array_equal(
-        model.b_ub[2 * n_int:n_nominal],
+        b_all[2 * n_int:n_nominal],
         np.concatenate([study.limits.bus_up, -study.limits.bus_dn, [0.0, 0.0]]))
     checked, probed, warm = [], [], lp.LPSystem.maximize
 
     def warm_then_full(system, c, free):
         # One stack under every mode: [delta per bus, p_B, p_e], the model's
-        # own rows and then the imported facets, with the nominal rows
+        # own rows and then the imported facets, with the kept nominal rows
         # working from the first solve.
         assert system.a_ub.shape[1] == n_bus + view.n_i + view.n_e
         np.testing.assert_array_equal(system.a_ub[:n_own], model.a_ub)
-        assert system.working[:n_nominal].all()
+        assert system.working[:n_own][start].all()
         # One shape under every mode: [delta, p_B, p_e], the objective on
         # the one free delta column.
         free = list(free)
@@ -431,9 +434,82 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
         model.solve(mode, imported, model.buses)
     assert len(checked) == 2 * 3 * len(model.buses)
     assert max(checked) < n_own
-    # Each bus in turn, up then down, in every mode.
-    assert probed == [(k, sign) for _ in range(3) for k in range(n_bus)
-                      for sign in (1.0, -1.0)]
+    # In every mode, every bus in turn up, then every bus in turn down.
+    assert probed == [(k, sign) for _ in range(3) for sign in (1.0, -1.0)
+                      for k in range(n_bus)]
+
+
+@pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
+def test_merged_neighbor_stack_is_the_assembled_one(rts_case, security):
+    """The model keeps assembled rows, one per direction, and every dropped
+    row is a positive multiple of a kept row that is no tighter."""
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                        rts_case.neighbor_area)
+    a_all, b_all, _ = analysis._neighbor_stack(study, security)
+    model = _NeighborModel(study, include_security=security)
+    assembled = {np.append(row, off).tobytes() for row, off in zip(a_all, b_all)}
+    for row, off in zip(model.a_ub, model.b_ub):
+        assert np.append(row, off).tobytes() in assembled
+    unit_kept, off_kept = polytope._unit_rows(model.a_ub, model.b_ub)
+    keys = [polytope._direction_key(row).tobytes() for row in unit_kept]
+    assert len(set(keys)) == len(keys)
+    kept_at = {key: k for k, key in enumerate(keys)}
+    unit_all, off_all = polytope._unit_rows(a_all, b_all)
+    for row, off in zip(unit_all, off_all):
+        k = kept_at[polytope._direction_key(row).tobytes()]
+        np.testing.assert_allclose(row, unit_kept[k], atol=1e-9)
+        assert off >= off_kept[k] - 1e-15
+    # RTS-96's parallel line pairs share their band rows, and with security
+    # each outage's rows fall to few directions.
+    assert (len(b_all), len(model.b_ub)) == ((4890, 906) if security else (98, 90))
+
+
+def test_merged_neighbor_bounds_match_the_assembled_rows(rts_case, rts_imported):
+    """On a few buses in every mode, the bounds on the merged rows equal
+    cold solves on every assembled row plus the imported facets."""
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                        rts_case.neighbor_area)
+    a_all, b_all, _ = analysis._neighbor_stack(study, include_security=True)
+    model = _NeighborModel(study, include_security=True)
+    n_bus, n_col = len(model.buses), a_all.shape[1]
+    cols = list(range(n_bus, n_col))
+    buses = model.buses[::8]
+    for mode, imported in rts_imported.items():
+        facets = imported.poly
+        a = np.vstack([a_all, np.hstack([np.zeros((facets.nrows, n_col - facets.dim)),
+                                         facets.A])])
+        b = np.concatenate([b_all, facets.b])
+        for bus, bounds in zip(buses, model.solve(mode, imported, buses)):
+            a_bus = a[:, [model.buses.index(bus)] + cols]
+            for sign, bound in zip((1.0, -1.0), bounds):
+                c = np.zeros(a_bus.shape[1])
+                c[0] = sign
+                res = lp.maximize(c, a_bus, b)
+                assert res.optimal
+                assert sign * res.value == pytest.approx(bound, abs=1e-9)
+
+
+def test_a_zero_row_with_a_negative_offset_survives_the_merge(toy_case,
+                                                               monkeypatch):
+    """All zero rows share one direction, and the one that breaks at the
+    origin stays, so the study is infeasible."""
+    stack = analysis._neighbor_stack
+
+    def with_zero_rows(study, include_security):
+        a, b, nominal = stack(study, include_security)
+        zero = np.zeros((3, a.shape[1]))
+        return (np.vstack([a, zero]), np.append(b, [1.0, -1e-3, 2.0]),
+                np.append(nominal, [False] * 3))
+
+    monkeypatch.setattr(analysis, "_neighbor_stack", with_zero_rows)
+    study = Study.build(toy_case, ReserveConfig(mode="fraction", fraction=0.05),
+                        toy_case.neighbor_area)
+    model = _NeighborModel(study)
+    zero = ~model.a_ub.any(axis=1)
+    assert model.b_ub[zero].tolist() == [-1e-3]
+    fe = external_polytope(toy_case, FlexibilitySpec("active", "n"))
+    with pytest.raises(InfeasibleSetError, match="deviation study infeasible"):
+        model.solve("active", fe, model.buses)
 
 
 @pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
@@ -458,10 +534,13 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
                    key=lambda g: (g.bus, g.id))
     limits, n_e = study.limits, study.view.n_e
     n_bus, n_b, n_a = len(model.buses), study.view.n_i, len(units)
-    # Drop the reserve bands and the balance pair that follow the line band.
-    n_int = len(study.view.internal_lines)
-    lines = np.ones(len(model.b_ub), dtype=bool)
-    lines[2 * n_int:2 * (n_int + n_b + 1)] = False
+    # Drop the reserve bands (one p_B coefficient) and the balance pair.
+    a_ub = model.a_ub
+    band = (np.count_nonzero(a_ub, axis=1) == 1) & a_ub[:, n_bus:n_bus + n_b].any(axis=1)
+    row = np.concatenate([np.ones(n_bus + n_b), -np.ones(n_e)])
+    balance = (a_ub == row).all(axis=1) | (a_ub == -row).all(axis=1)
+    assert (band.sum(), balance.sum()) == (2 * n_b, 2)
+    lines = ~(band | balance)
     a_own, b_own = model.a_ub[lines], model.b_ub[lines]
     n_var = 1 + n_b + n_e + n_a
     a_eq = np.zeros((2, n_var))
@@ -533,10 +612,15 @@ def test_neighbor_security_lps_stay_small(rts_case, monkeypatch):
 def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
                                                      monkeypatch):
     rows, _ = _neighbor_lp_rows(rts_case, monkeypatch, False)
-    view = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
-                       rts_case.neighbor_area).view
-    n_int, n_b = len(view.internal_lines), view.n_i
-    expected = [2 * n_int + 2 * n_b + 2 + rts_imported[mode].poly.nrows
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                        rts_case.neighbor_area)
+    # The nominal block, one row per direction: RTS-96's parallel line
+    # pairs share their band rows.
+    a, b, _ = analysis._neighbor_stack(study, include_security=False)
+    n_own = len({polytope._direction_key(row).tobytes()
+                 for row in polytope._unit_rows(a, b)[0]})
+    assert n_own < len(b)
+    expected = [n_own + rts_imported[mode].poly.nrows
                 for mode in ("passive", "active", "atc")
                 for _ in range(24 * 2)]  # buses × directions
     assert rows == [(n, n, n) for n in expected]

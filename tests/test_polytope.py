@@ -12,7 +12,7 @@ from gridflex import (GridflexError, HPolytope, InfeasibleSetError,
 from gridflex import lp, polytope
 from gridflex.analysis import ExternalPolytope
 from gridflex.lp import maximize
-from gridflex.polytope import normalize_rows
+from gridflex.polytope import normalize_rows, tightest_rows
 
 from fm_reference import eliminate_variable, remove_redundant
 
@@ -77,6 +77,17 @@ def test_normalize_merges_duplicates_and_unit_norms():
     a = np.array([[1.0, 1e-13], [1.0, -1e-13]])
     p = normalize_rows(HPolytope(a, np.array([2.0, 1.0]), ("x", "y")))
     assert p.nrows == 1 and p.b[0] == pytest.approx(1.0)
+
+
+def test_tightest_rows_keep_one_row_per_direction():
+    """Parallel rows keep the least scaled offset, a later row replacing
+    the kept one only when more than 1e-15 below it, and rows of norm at
+    most ``_ZERO_ROW_TOL`` share the zero direction with their offsets as
+    given."""
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 3.0],
+                  [0.0, 0.0], [1e-13, 0.0]])
+    b = np.array([1.0, 1.0, 2.0, 6.0 - 1.5e-15, 1.0, -1.0])
+    np.testing.assert_array_equal(tightest_rows(a, b), [1, 2, 5])
 
 
 def test_remove_redundant_drops_dominated_row():

@@ -13,7 +13,13 @@ per workload the LP count (a system solve counts as one) and a SHA-256
 digest over each call's inputs (shapes and bytes), status, ``x`` and value;
 a system's stack and first working rows are digested once, when it is
 built.  Two trees that print the same digests solved the same LPs, in the
-same order, to the same bits.
+same order, to the same bits.  Two more columns, ``runs`` and ``iters``,
+give the HiGHS runs on the systems' own models (a primal retry counts as
+a run of its own) and the simplex iterations those runs took, so the
+pivots a change saves show; they are left out of the digest, which stays
+comparable with that of trees that do not print them.  A system's cold
+full-stack solve goes through ``maximize`` and counts there as an LP.
+On the ``linprog`` fallback both read 0.
 
 A last line, ``artifacts``, runs a fixed battery of CLI commands
 in-process and prints the number of artifacts they wrote and a SHA-256
@@ -63,14 +69,33 @@ def _update(sha, *values) -> None:
         sha.update(repr(data.shape).encode() + data.tobytes())
 
 
+class _CountedRuns:
+    """A system's ``_Highs`` instance that adds each ``run`` and its
+    simplex iterations to ``log[2]`` and ``log[3]``."""
+
+    def __init__(self, solver, log):
+        self._solver, self._log = solver, log
+
+    def run(self):
+        status = self._solver.run()
+        self._log[2] += 1
+        self._log[3] += self._solver.getInfo().simplex_iteration_count
+        return status
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+
 @contextlib.contextmanager
 def _recording(*owners):
     """Digest every ``maximize`` call in the block, made through
     ``gridflex.lp`` or through an ``owners`` module's own binding of the
     name, and every ``LPSystem`` solve: a system's stack and first working
     rows once when it is built, then per solve its ``c``, ``free`` and
-    result.  Yields ``[count, sha]``; a system solve counts as one LP."""
-    real, log = lp.maximize, [0, hashlib.sha256()]
+    result.  Yields ``[count, sha, runs, iterations]``; a system solve
+    counts as one LP, and the HiGHS runs on a system's own model, with
+    their simplex iterations, are counted apart from the digest."""
+    real, log = lp.maximize, [0, hashlib.sha256(), 0, 0]
     system_init, system_solve = lp.LPSystem.__init__, lp.LPSystem.maximize
 
     def maximize(c, a_ub, b_ub):
@@ -84,6 +109,8 @@ def _recording(*owners):
 
     def init(system, a_ub, b_ub, working):
         system_init(system, a_ub, b_ub, working)
+        if system._solver is not None:
+            system._solver = _CountedRuns(system._solver, log)
         log[1].update(b"system")
         _update(log[1], system.a_ub, system.b_ub, working)
 
@@ -136,12 +163,14 @@ def main() -> int:
             with _recording() as log:
                 workload.run_pass(lambda unit, _, error: error and errors.append(
                     f"{name} {unit}: {error}"), in_process=True)
-            print(f"{name:16s} {log[0]:7d} {log[1].hexdigest()}")
+            print(f"{name:16s} {log[0]:7d} {log[1].hexdigest()} "
+                  f"runs {log[2]} iters {log[3]}")
         count, digest = _artifacts(Path(tmp), errors)
     with _recording(test_acceptance) as log, \
             contextlib.redirect_stdout(io.StringIO()):
         test_acceptance.test_criterion_2_projection_oracle()
-    print(f"{'criterion-2':16s} {log[0]:7d} {log[1].hexdigest()}")
+    print(f"{'criterion-2':16s} {log[0]:7d} {log[1].hexdigest()} "
+          f"runs {log[2]} iters {log[3]}")
     print(f"{'artifacts':16s} {count:7d} {digest}")
     for error in errors:
         print(f"failed: {error}")
