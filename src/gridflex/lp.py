@@ -6,9 +6,8 @@ Every LP in this package has one form, ``max c.x`` subject to
 :class:`LPSystem`, which solves each over a subset of the stack's columns
 with the others held at zero.  The support LPs of a projection and the
 neighbor deviation LPs run on systems; every other LP runs through
-:func:`maximize`.  :func:`maximize_lazy` is no seam of its own: it is the
-body of a system's solve on the ``linprog`` fallback.  Callers write an
-equality as a row pair and a variable's bounds as rows of their own.
+:func:`maximize`.  Callers write an equality as a row pair and a variable's
+bounds as rows of their own.
 
 The backend is the HiGHS dual simplex that scipy bundles, which is
 deterministic for fixed inputs.  :func:`maximize` hands it the model
@@ -40,16 +39,16 @@ maps that result; it raises :class:`LPSolverError` only when the retry is
 not conclusive either.  The ``linprog`` fallback has no such retry: its
 ``highs``, ``highs-ds`` and ``highs-ipm`` all report that LP as status 4.
 
-An :class:`LPSystem` owns a ``_Highs`` instance of its own, so the shared
-one above never sees its model and still gives each LP the bytes of a fresh
-instance.  Its model stays loaded between solves: only costs and column
-bounds change, and violated rows are appended, so each solve starts from
-the previous basis and, once there is one, skips presolve.  The last digits
-of a system's optimum can therefore depend on the solves it ran before, so
-those of a projection's facets and of a neighbor bound depend on the order
-of their LPs.
-No instance, shared or owned, may be used by two threads at once; nothing
-in the package starts a thread.
+On the direct backend an :class:`LPSystem` owns a ``_Highs`` instance, so
+the shared one above never sees its model and still gives each LP the
+bytes of a fresh instance.  The system's model stays loaded between
+solves: only costs and column bounds change, and violated rows are
+appended, so each solve starts from the previous basis and, once there is
+one, skips presolve.  The last digits of a system's optimum can therefore
+depend on the solves it ran before, so those of a projection's facets and
+of a neighbor bound depend on the order of their LPs.  No instance, shared
+or owned, may be used by two threads at once; nothing in the package
+starts a thread.
 
 HiGHS keeps its own feasibility tolerances unless a
 :func:`feasibility_tolerance` block is open in the calling context; an
@@ -343,26 +342,6 @@ def _choose_backend():
     return _backend
 
 
-def maximize_lazy(c, a_ub, b_ub, working) -> LPResult:
-    """:func:`maximize` on the rows the boolean mask ``working`` selects,
-    adding the worst full-stack rows the optimum violates until it violates
-    none (Kelley's cutting planes); ``working`` grows in place.
-    "Infeasible" on the working rows is final; "unbounded" falls back to one
-    solve on the full stack.  An :class:`LPSystem` solves with it on the
-    ``linprog`` fallback; the direct backend runs the same rule warm."""
-    a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
-    while True:
-        res = maximize(c, a_ub[working], b_ub[working])
-        if res.status == "unbounded" and not working.all():
-            return maximize(c, a_ub, b_ub)
-        if not res.optimal:
-            return res
-        cuts = _cuts(a_ub, b_ub, working, res.x)
-        if not cuts.size:
-            return res
-        working[cuts] = True
-
-
 def _cuts(a_ub, b_ub, working, x):
     """The rows outside ``working`` that ``x`` violates by more than
     ``_LAZY_TOL``, worst first, at most ``_LAZY_BATCH`` of them."""
@@ -375,18 +354,20 @@ def _cuts(a_ub, b_ub, working, x):
 class LPSystem:
     """Many LPs on one row stack: :meth:`maximize` solves ``max c.x  s.t.
     a_ub x <= b_ub`` over the columns in ``free``, every other column held
-    at zero, as :func:`maximize_lazy` solves ``a_ub[:, free]`` with the row
-    mask ``working``, which grows in place and is kept as :attr:`working`.
+    at zero, by Kelley's cutting planes on the row mask ``working``, which
+    grows in place and is kept as :attr:`working`.
 
-    On the direct backend the system owns a ``_Highs`` instance, loaded once
-    with the working rows over every column of the stack.  Between solves
-    only the costs and the column bounds change (bounds ``[0, 0]`` hold a
-    column at zero, which is the LP of the sliced columns), and the rows the
-    optimum violates are appended, so HiGHS starts from the previous basis
-    and skips presolve.  On the ``linprog`` fallback every solve is
-    :func:`maximize_lazy` on the column slice.  On either backend every
-    solve, a cold one included, runs with the :func:`feasibility_tolerance`
-    in force when the system was built.
+    One loop serves both backends.  Each step maximizes over the working
+    rows, with :func:`maximize`'s statuses, and the worst rows its optimum
+    violates (:func:`_cuts`) join the working set, until it violates none.
+    "Infeasible" on the working rows is final; "unbounded" falls back to
+    one :func:`maximize` on the full stack.  Only the step differs.  On the
+    direct backend it runs the system's own warm model, loaded with the
+    first working rows over every column; bounds ``[0, 0]`` hold a column
+    at zero, which is the LP of the sliced columns.  On the ``linprog``
+    fallback it is :func:`maximize` on the working rows of the column
+    slice.  Every LP of a system runs with the
+    :func:`feasibility_tolerance` in force when the system was built.
 
     The stack is checked once and ``c`` on every solve; failures raise
     :class:`LPSolverError` as in :func:`maximize`.
@@ -430,19 +411,13 @@ class LPSystem:
         if c.shape != (n,) or held.all():
             raise LPSolverError("LP shapes disagree with the objective")
         _finite(c=c)
-        if self._solver is None:
-            return self._cold(maximize_lazy, c[free], self.a_ub[:, free],
-                              self.b_ub, self.working)
-        inf = _highs.kHighsInf
-        _accepted(self._solver.changeColsBounds(
-            n, self._columns, np.where(held, 0.0, -inf), np.where(held, 0.0, inf)))
-        cost = np.where(held, 0.0, -c)
+        if self._solver is not None:
+            inf = _highs.kHighsInf
+            _accepted(self._solver.changeColsBounds(
+                n, self._columns, np.where(held, 0.0, -inf),
+                np.where(held, 0.0, inf)))
         while True:
-            status, x, fun = self._run(cost)
-            # As in maximize: "infeasible" is re-checked with a zero objective.
-            if (status == "infeasible" and np.any(cost)
-                    and self._run(np.zeros(n))[0] == "optimal"):
-                status = "unbounded"
+            status, x, value = self._step(c, free, held)
             if status == "unbounded" and not self.working.all():
                 return self._cold(maximize, c[free], self.a_ub[:, free],
                                   self.b_ub)
@@ -453,9 +428,32 @@ class LPSystem:
             x[held] = 0.0
             cuts = _cuts(self.a_ub, self.b_ub, self.working, x)
             if not cuts.size:
-                return LPResult(status="optimal", x=x[free], value=float(-fun))
+                return LPResult(status="optimal", x=x[free], value=value)
             self.working[cuts] = True
-            self._add(cuts)
+            if self._solver is not None:
+                self._add(cuts)
+
+    def _step(self, c, free, held):
+        """``(status, x, value)`` of ``max c.x`` over the free columns and
+        the working rows, as :func:`maximize` gives them; ``x`` spans every
+        column."""
+        if self._solver is None:
+            res = self._cold(maximize, c[free],
+                             self.a_ub[np.ix_(self.working, free)],
+                             self.b_ub[self.working])
+            x = np.zeros(c.size)
+            if res.optimal:
+                x[free] = res.x
+            return res.status, x, res.value
+        cost = np.where(held, 0.0, -c)
+        status, x, fun = self._run(cost)
+        if status == "optimal":
+            return status, x, float(-fun)
+        # As in maximize: "infeasible" is re-checked with a zero objective.
+        if (status == "infeasible" and np.any(cost)
+                and self._run(np.zeros(c.size))[0] == "optimal"):
+            status = "unbounded"
+        return status, None, None
 
     def _cold(self, solve, *args) -> LPResult:
         """``solve(*args)`` under the options the system was built with."""

@@ -129,19 +129,26 @@ def _unit_rows(a: np.ndarray, b: np.ndarray):
 
 def tightest_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows ``a x <= b`` kept when parallel rows
-    merge, one per :func:`_direction_key` of the rows scaled to unit norm
-    (all zero rows share the zero key).
+    merge: :func:`_tightest` of the rows scaled to unit norm."""
+    return _tightest(*_unit_rows(a, b))
+
+
+def _tightest(unit: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Ascending indices of the unit rows ``unit x <= offset`` kept when
+    parallel rows merge, one per :func:`_direction_key` (all zero rows
+    share the zero key).
 
     Walking the rows in lexsort order of their keys, the first row of a
-    key is kept until a row of that key has a scaled offset more than
-    1e-15 below the kept one's.
+    key is kept until a row of that key has an offset more than 1e-15
+    below the kept one's.
     """
-    unit, offset = _unit_rows(a, b)
     key = _direction_key(unit)
     # Python floats compare and subtract as float64 do, at a lower cost.
     offset = offset.tolist()
     best: dict[bytes, int] = {}
-    for i in np.lexsort(key.T[::-1]).tolist():
+    # lexsort needs a key; rows of no columns all share the empty one.
+    order = np.lexsort(key.T[::-1]) if key.shape[1] else np.arange(len(key))
+    for i in order.tolist():
         tag = key[i].tobytes()
         if tag not in best or offset[i] < offset[best[tag]] - 1e-15:
             best[tag] = i
@@ -157,15 +164,15 @@ def normalize_rows(poly: HPolytope) -> HPolytope:
     normal direction keep only the tightest offset, as
     :func:`tightest_rows` picks it, in their original order.
     """
-    a, b = poly.A, poly.b
-    zero = np.linalg.norm(a, axis=1) <= _ZERO_ROW_TOL
+    # The same rows scale to the same bits whatever their memory layout:
+    # row norms of a Fortran-ordered array can differ in the last bits.
+    a, b = _unit_rows(np.ascontiguousarray(poly.A), poly.b)
+    zero = ~a.any(axis=1)
     if np.any(zero & (b < -_ZERO_ROW_TOL)):
         return _empty(poly.labels)
     a, b = a[~zero], b[~zero]
-    if a.shape[0] == 0:
-        return HPolytope(a.reshape(0, poly.dim), b, poly.labels)
-    keep = tightest_rows(a, b)
-    return HPolytope(*_unit_rows(a[keep], b[keep]), poly.labels)
+    keep = _tightest(a, b)
+    return HPolytope(a[keep], b[keep], poly.labels)
 
 
 def is_feasible(poly: HPolytope):

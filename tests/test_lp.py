@@ -1,6 +1,7 @@
 """The LP seam: the direct HiGHS backend against the `linprog` fallback, the
-fallback itself, input checks, and row generation (`maximize_lazy` and the
-warm `LPSystem`) against one solve on the full stack."""
+fallback itself, input checks, and row generation (the `LPSystem` on either
+backend, and the `maximize_lazy` oracle of `lazy_reference`) against one
+solve on the full stack."""
 
 import contextlib
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 from gridflex import lp
 from gridflex.errors import LPSolverError
-from gridflex.lp import LPSystem, maximize, maximize_lazy
+from gridflex.lp import LPSystem, maximize
+from lazy_reference import maximize_lazy
 
 
 def _bounded_stack(rng, n_rows=300, n_var=5):
@@ -91,6 +93,22 @@ BATTERY = {
 }
 direct_only = pytest.mark.skipif(lp._highs is None,
                                  reason="this scipy has no bundled HiGHS bindings")
+
+
+def _use_backend(backend, monkeypatch):
+    """Solve on ``backend``, "direct" or "linprog"; the direct one is
+    skipped when this scipy has no bundled HiGHS bindings."""
+    if backend == "direct" and lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS bindings")
+    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
+                                         "linprog": lp._solve_linprog}[backend])
+
+
+def _on_both_backends(values):
+    """``(value, backend)`` parameters over both backends; the direct ones
+    keep the test ids of ``value`` alone."""
+    return ([pytest.param(v, "direct", id=str(v)) for v in values]
+            + [pytest.param(v, "linprog", id=f"linprog-{v}") for v in values])
 
 
 def _run(case):
@@ -331,10 +349,7 @@ def test_options_do_not_outlive_their_block(monkeypatch):
 @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_lp_data_fails_at_the_seam(backend, name, bad, monkeypatch):
-    if backend == "direct" and lp._highs is None:
-        pytest.skip("this scipy has no bundled HiGHS bindings")
-    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
-                                         "linprog": lp._solve_linprog}[backend])
+    _use_backend(backend, monkeypatch)
     data = _neighbor_shaped()
     data[name] = np.array(data[name], dtype=float)
     data[name].flat[1] = bad
@@ -440,10 +455,11 @@ def test_system_optimum_matches_the_full_stack(seed):
         assert np.all(a @ res.x - b <= 1e-9)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_system_free_columns_are_the_column_slice(seed):
+@pytest.mark.parametrize("seed, backend", _on_both_backends(range(3)))
+def test_system_free_columns_are_the_column_slice(seed, backend, monkeypatch):
     """Holding the other columns at zero solves the LP of the sliced
     columns: the same status, value and point, in the order of ``free``."""
+    _use_backend(backend, monkeypatch)
     rng = np.random.default_rng(seed)
     a, b = _bounded_stack(rng, n_var=7)
     system = LPSystem(a, b, _mask(len(b), 30))
@@ -491,9 +507,17 @@ def _status_cases():
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
-def test_system_statuses_match_maximize_lazy(case):
+@pytest.mark.parametrize("case, backend", _on_both_backends(range(6)))
+def test_system_statuses_match_maximize_lazy(case, backend, monkeypatch):
+    _use_backend(backend, monkeypatch)
     name, c, a, b, working = _status_cases()[case]
+    if backend == "linprog" and name == "unknown-on-dual":
+        # linprog has no primal retry: the oracle and the system both fail.
+        with pytest.raises(LPSolverError, match="LP backend failed"):
+            maximize_lazy(c, a, b, working.copy())
+        with pytest.raises(LPSolverError, match="LP backend failed"):
+            LPSystem(a, b, working.copy()).maximize(c, range(a.shape[1]))
+        return
     lazy = maximize_lazy(c, a, b, working.copy())
     res = LPSystem(a, b, working.copy()).maximize(c, range(a.shape[1]))
     assert res.status == lazy.status, name
@@ -533,10 +557,7 @@ def test_system_mask_only_grows_and_is_deterministic():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_system_rejects_non_finite_data(backend, name, bad, monkeypatch):
     """The stack is checked when the system is built, ``c`` on each solve."""
-    if backend == "direct" and lp._highs is None:
-        pytest.skip("this scipy has no bundled HiGHS bindings")
-    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
-                                         "linprog": lp._solve_linprog}[backend])
+    _use_backend(backend, monkeypatch)
     data = _neighbor_shaped()
     data[name] = np.array(data[name], dtype=float)
     data[name].flat[1] = bad
@@ -561,10 +582,7 @@ def test_system_rejects_shapes_that_disagree():
 
 @pytest.mark.parametrize("backend", ["direct", "linprog"])
 def test_system_keeps_the_tolerance_it_was_built_with(backend, monkeypatch):
-    if backend == "direct" and lp._highs is None:
-        pytest.skip("this scipy has no bundled HiGHS bindings")
-    monkeypatch.setattr(lp, "_backend", {"direct": lp._solve_highs,
-                                         "linprog": lp._solve_linprog}[backend])
+    _use_backend(backend, monkeypatch)
     data = _tolerance_sensitive()
     working = np.ones(len(data["b_ub"]), dtype=bool)
     assert LPSystem(data["a_ub"], data["b_ub"], working).maximize(

@@ -33,14 +33,16 @@ def test_public_names_resolve():
 def test_only_lp_binds_an_lp_function():
     """Every LP goes through ``gridflex.lp``: no other module binds an LP
     function or the LP system by name, so patching ``gridflex.lp.maximize``
-    or ``gridflex.lp.LPSystem`` catches them all."""
+    or ``gridflex.lp.LPSystem`` catches them all.  Row generation runs only
+    in ``LPSystem``: ``maximize_lazy`` is a test oracle, not an LP seam."""
     modules = [gridflex] + [importlib.import_module(f"gridflex.{m.name}")
                             for m in pkgutil.iter_modules(gridflex.__path__)]
     assert "gridflex.lp" in [m.__name__ for m in modules]
     binders = sorted(m.__name__ for m in modules if m.__name__ != "gridflex.lp"
                      and any(hasattr(m, name) for name in
-                             ("maximize", "maximize_lazy", "LPSystem")))
+                             ("maximize", "LPSystem")))
     assert binders == []
+    assert not hasattr(importlib.import_module("gridflex.lp"), "maximize_lazy")
 
 
 def _gridflex_path(node, roots):

@@ -77,6 +77,10 @@ def test_normalize_merges_duplicates_and_unit_norms():
     a = np.array([[1.0, 1e-13], [1.0, -1e-13]])
     p = normalize_rows(HPolytope(a, np.array([2.0, 1.0]), ("x", "y")))
     assert p.nrows == 1 and p.b[0] == pytest.approx(1.0)
+    # A system left with no rows keeps its width, also a width of zero.
+    for a, labels in ((np.zeros((0, 0)), ()), (np.zeros((1, 2)), ("x", "y"))):
+        p = normalize_rows(HPolytope(a, np.ones(len(a)), labels))
+        assert p.A.shape == (0, len(labels)) and p.labels == labels
 
 
 def test_tightest_rows_keep_one_row_per_direction():

@@ -19,12 +19,15 @@ a run of its own) and the simplex iterations those runs took, so the
 pivots a change saves show; they are left out of the digest, which stays
 comparable with that of trees that do not print them.  A system's cold
 full-stack solve goes through ``maximize`` and counts there as an LP.
-On the ``linprog`` fallback both read 0.
+On the ``linprog`` fallback both read 0, and every solve on a system's
+working rows goes through ``maximize`` and counts as an LP as well.
 
-A last line, ``artifacts``, runs a fixed battery of CLI commands
+The ``artifacts`` line runs a fixed battery of CLI commands
 in-process and prints the number of artifacts they wrote and a SHA-256
 over each run's exit code and each artifact's relative path and bytes.
 Two trees that print the same line wrote byte-identical artifacts.
+A last line, ``fallback``, repeats the export-lattice and neighbor-maxdev
+passes with every LP on the ``linprog`` fallback, digested as one.
 Nothing is written under the repository.
 """
 
@@ -59,6 +62,8 @@ _CLI_RUNS = (
     (workloads.TOY, "build", ""),
     (workloads.TOY, "maxdev", "--reserve-pct 0.05"),
 )
+# The workloads the ``fallback`` line passes through again on ``linprog``.
+_FALLBACK = ("export-lattice", "neighbor-maxdev")
 
 
 def _update(sha, *values) -> None:
@@ -154,24 +159,43 @@ def _artifacts(tmp: Path, errors: list) -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def _workload(name: str, tmp: Path, errors: list):
+    """Set up workload ``name`` at seed 0 and return a function that runs
+    one pass of it in-process, noting each failed unit in ``errors``."""
+    workload = workloads.make(name, 0, tmp)
+    workload.setup()
+    return lambda: workload.run_pass(lambda unit, _, error: error and errors.append(
+        f"{name} {unit}: {error}"), in_process=True)
+
+
+def _line(name: str, log) -> str:
+    return (f"{name:16s} {log[0]:7d} {log[1].hexdigest()} "
+            f"runs {log[2]} iters {log[3]}")
+
+
 def main() -> int:
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.WORKLOADS:
-            workload = workloads.make(name, 0, Path(tmp))
-            workload.setup()
+            run = _workload(name, Path(tmp), errors)
             with _recording() as log:
-                workload.run_pass(lambda unit, _, error: error and errors.append(
-                    f"{name} {unit}: {error}"), in_process=True)
-            print(f"{name:16s} {log[0]:7d} {log[1].hexdigest()} "
-                  f"runs {log[2]} iters {log[3]}")
+                run()
+            print(_line(name, log))
         count, digest = _artifacts(Path(tmp), errors)
+        runs = [_workload(name, Path(tmp), errors) for name in _FALLBACK]
+        backend, lp._backend = lp._backend, lp._solve_linprog
+        try:
+            with _recording() as fallback:
+                for run in runs:
+                    run()
+        finally:
+            lp._backend = backend
     with _recording(test_acceptance) as log, \
             contextlib.redirect_stdout(io.StringIO()):
         test_acceptance.test_criterion_2_projection_oracle()
-    print(f"{'criterion-2':16s} {log[0]:7d} {log[1].hexdigest()} "
-          f"runs {log[2]} iters {log[3]}")
+    print(_line("criterion-2", log))
     print(f"{'artifacts':16s} {count:7d} {digest}")
+    print(_line("fallback", fallback))
     for error in errors:
         print(f"failed: {error}")
     return 1 if errors else 0
