@@ -46,9 +46,17 @@ solves: only costs and column bounds change, and violated rows are
 appended, so each solve starts from the previous basis and, once there is
 one, skips presolve.  The last digits of a system's optimum can therefore
 depend on the solves it ran before, so those of a projection's facets and
-of a neighbor bound depend on the order of their LPs.  No instance, shared
-or owned, may be used by two threads at once; nothing in the package
-starts a thread.
+of a neighbor bound depend on the order of their LPs.  Every row of the
+stack with one coefficient is a column bound of the model, not a row, so
+a column is boxed where it would be free: after a change of costs the
+dual simplex would meet free columns that are dual infeasible, which only
+its phase 1 repairs, while boxed ones flip to their other bound.  And as
+a change of costs keeps the previous optimum primal feasible, a system
+re-solves with the primal simplex, with the dual as the retry after
+``Unknown``.  That takes one seed-0 pass of the neighbor-maxdev benchmark
+from 4,479 simplex iterations to 2,860, and one of export-lattice from
+916 to 468 (``tools/lp_digest.py``).  No instance, shared or owned, may
+be used by two threads at once; nothing in the package starts a thread.
 
 HiGHS keeps its own feasibility tolerances unless a
 :func:`feasibility_tolerance` block is open in the calling context; an
@@ -117,6 +125,8 @@ except AttributeError:  # no bindings, or bindings of another layout
     _highs, _HIGHS_STATUS = None, {}
 
 FEASIBILITY_TOL = 1e-8
+# HiGHS's infinite_bound: it reads a bound of this magnitude as infinite.
+_INFINITE_BOUND = 1e20
 _LAZY_BATCH, _LAZY_TOL = 20, 1e-9  # rows added per round; violation threshold
 # linprog's _check_result slack on an "optimal" point: sqrt(tol) * 10, tol 1e-9.
 _CHECK_TOL = math.sqrt(1e-9) * 10
@@ -294,9 +304,11 @@ def _accepted(*statuses) -> None:
         raise LPSolverError("LP backend rejected the model")
 
 
-def _outcome(solver, b_ub):
+def _outcome(solver, b_ub, folded=None):
     """``(status, x, fun)`` of ``solver``'s last run on rows with upper
-    bounds ``b_ub``, with ``linprog``'s check of an optimum."""
+    bounds ``b_ub``, with ``linprog``'s check of an optimum; ``folded``,
+    ``(column, coefficient, offset)`` arrays of rows the model holds as
+    column bounds, puts those rows under the same check."""
     model_status = solver.getModelStatus()
     status = _HIGHS_STATUS.get(model_status)
     if status is None:
@@ -306,9 +318,13 @@ def _outcome(solver, b_ub):
         return status, None, None
     solution = solver.getSolution()
     x = np.array(solution.col_value)
-    fun = solver.getInfo().objective_function_value
-    if not (np.isfinite(fun) and np.all(
-            b_ub - np.array(solution.row_value) >= -_CHECK_TOL)):
+    fun = solver.getObjectiveValue()
+    feasible = np.isfinite(fun) and np.all(
+        b_ub - np.array(solution.row_value) >= -_CHECK_TOL)
+    if feasible and folded is not None:
+        column, coefficient, offset = folded
+        feasible = np.all(offset - coefficient * x[column] >= -_CHECK_TOL)
+    if not feasible:
         raise LPSolverError(
             "LP backend failed: its optimum breaks the constraints by more "
             f"than {_CHECK_TOL:.2E}")
@@ -347,8 +363,31 @@ def _cuts(a_ub, b_ub, working, x):
     ``_LAZY_TOL``, worst first, at most ``_LAZY_BATCH`` of them."""
     excess = np.where(working, -np.inf, a_ub @ x - b_ub)
     violated = np.flatnonzero(excess > _LAZY_TOL)
+    if not violated.size:
+        return violated
     worst = np.argsort(-excess[violated], kind="stable")[:_LAZY_BATCH]
     return violated[worst]
+
+
+def _folded_bounds(a_ub, b_ub):
+    """The rows of ``a_ub x <= b_ub`` with one coefficient as column bounds:
+    ``(rows, (column, coefficient, offset), lower, upper)``, with the
+    tightest bound per column and side in ``lower`` and ``upper``.  A row
+    whose bound ``b_i / a_ij`` HiGHS would read as infinite is left out."""
+    rows = np.flatnonzero(np.count_nonzero(a_ub, axis=1) == 1)
+    column = np.argmax(a_ub[rows] != 0, axis=1)
+    coefficient = a_ub[rows, column]
+    with np.errstate(over="ignore"):
+        bound = b_ub[rows] / coefficient
+    finite = np.abs(bound) < _INFINITE_BOUND
+    rows, column, coefficient, bound = (
+        rows[finite], column[finite], coefficient[finite], bound[finite])
+    n = a_ub.shape[1]
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    up = coefficient > 0
+    np.minimum.at(upper, column[up], bound[up])
+    np.maximum.at(lower, column[~up], bound[~up])
+    return rows, (column, coefficient, b_ub[rows]), lower, upper
 
 
 class LPSystem:
@@ -362,11 +401,19 @@ class LPSystem:
     violates (:func:`_cuts`) join the working set, until it violates none.
     "Infeasible" on the working rows is final; "unbounded" falls back to
     one :func:`maximize` on the full stack.  Only the step differs.  On the
-    direct backend it runs the system's own warm model, loaded with the
-    first working rows over every column; bounds ``[0, 0]`` hold a column
-    at zero, which is the LP of the sliced columns.  On the ``linprog``
-    fallback it is :func:`maximize` on the working rows of the column
-    slice.  Every LP of a system runs with the
+    direct backend it runs the system's own warm model over every column.
+    Each row of the stack with one coefficient ``a_ij`` becomes the bound
+    ``b_i / a_ij`` of column ``j``, the tightest per side, and joins the
+    working set when the system is built; a row whose bound HiGHS would
+    read as infinite stays a row.  The other first working rows are the
+    model's rows.  A free column takes its folded bounds, a held one the
+    folded interval cut to ``[0, 0]``, which is the LP of the sliced
+    columns: empty, and the LP infeasible, when a folded row fails at
+    zero.  The model re-solves with the primal simplex, since a change of
+    costs keeps the previous optimum primal feasible, and retries with the
+    dual after ``Unknown``.  On the ``linprog`` fallback the step is
+    :func:`maximize` on the working rows of the column slice, every row
+    a row.  Every LP of a system runs with the
     :func:`feasibility_tolerance` in force when the system was built.
 
     The stack is checked once and ``c`` on every solve; failures raise
@@ -386,20 +433,27 @@ class LPSystem:
             self._load()
 
     def _load(self) -> None:
-        n, inf = self.a_ub.shape[1], _highs.kHighsInf
-        self._rows = np.flatnonzero(self.working)  # the model's rows, in order
+        a, b = self.a_ub, self.b_ub
+        n, inf = a.shape[1], _highs.kHighsInf
+        folded, self._folded, self._lower, self._upper = _folded_bounds(a, b)
+        model = self.working.copy()  # the model's rows
+        model[folded] = False
+        self.working[folded] = True
+        rows = np.flatnonzero(model)
+        self._offsets = b[rows]  # of the model's rows, in order
+        self._held = None  # the held-column mask the model's bounds are for
         self._columns = np.arange(n, dtype=np.int32)
         tol = _tolerance()
-        self._options = [_highs_options(tol, primal) for primal in (False, True)]
-        start, index, value = _compressed(self.a_ub[self._rows].T)
-        m, zeros = self._rows.size, np.zeros(n)
+        self._options = [_highs_options(tol, primal) for primal in (True, False)]
+        start, index, value = _compressed(a[rows].T)
+        m, zeros = rows.size, np.zeros(n)
         self._solver = _highs._Highs()
         _accepted(self._solver.passOptions(self._options[0]),
                   self._solver.passModel(
                       n, m, index.size, _highs.MatrixFormat.kColwise,
                       _highs.ObjSense.kMinimize, 0.0, zeros, zeros, zeros,
-                      np.full(m, -inf), self.b_ub[self._rows], start, index,
-                      value, np.zeros(n, dtype=np.int32)))
+                      np.full(m, -inf), self._offsets, start, index, value,
+                      np.zeros(n, dtype=np.int32)))
 
     def maximize(self, c, free) -> LPResult:
         """``max c.x`` over the columns ``free`` selects (indices or a
@@ -411,11 +465,13 @@ class LPSystem:
         if c.shape != (n,) or held.all():
             raise LPSolverError("LP shapes disagree with the objective")
         _finite(c=c)
-        if self._solver is not None:
+        if self._solver is not None and not np.array_equal(held, self._held):
             inf = _highs.kHighsInf
             _accepted(self._solver.changeColsBounds(
-                n, self._columns, np.where(held, 0.0, -inf),
-                np.where(held, 0.0, inf)))
+                n, self._columns,
+                np.maximum(self._lower, np.where(held, 0.0, -inf)),
+                np.minimum(self._upper, np.where(held, 0.0, inf))))
+            self._held = held
         while True:
             status, x, value = self._step(c, free, held)
             if status == "unbounded" and not self.working.all():
@@ -465,7 +521,7 @@ class LPSystem:
 
     def _run(self, cost):
         """``(status, x, fun)`` of ``min cost.x`` on the model as it stands,
-        with the primal simplex after an ``Unknown`` from the dual."""
+        with the dual simplex after an ``Unknown`` from the primal."""
         solver = self._solver
         _accepted(solver.changeColsCost(cost.size, self._columns, cost))
         solver.run()
@@ -473,11 +529,12 @@ class LPSystem:
             _accepted(solver.passOptions(self._options[1]))
             solver.run()
             _accepted(solver.passOptions(self._options[0]))
-        return _outcome(solver, self.b_ub[self._rows])
+        return _outcome(solver, self._offsets, self._folded)
 
     def _add(self, rows) -> None:
         start, index, value = _compressed(self.a_ub[rows])
+        offsets = self.b_ub[rows]
         _accepted(self._solver.addRows(
-            rows.size, np.full(rows.size, -_highs.kHighsInf), self.b_ub[rows],
+            rows.size, np.full(rows.size, -_highs.kHighsInf), offsets,
             index.size, start[:-1], index, value))
-        self._rows = np.concatenate([self._rows, rows])
+        self._offsets = np.concatenate([self._offsets, offsets])

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import (InfeasibleSetError, LPSolverError, ProjectionSizeError,
-                     UnboundedSetError)
+from .errors import (GridflexError, InfeasibleSetError, LPSolverError,
+                     ProjectionSizeError, UnboundedSetError)
 
 REDUNDANCY_TOL = 1e-7
 DEFAULT_ROW_CAP = 200_000
@@ -309,9 +309,12 @@ def project(poly: HPolytope, keep, tol: float = REDUNDANCY_TOL,
     hull's row pairs), also when every column is kept.  A hull with more
     than ``row_cap`` facets raises :class:`ProjectionSizeError`; an empty
     set raises :class:`InfeasibleSetError` and an unbounded projection
-    :class:`UnboundedSetError`.
+    :class:`UnboundedSetError`.  An empty ``keep`` raises
+    :class:`GridflexError`: there is no space to project onto.
     """
     keep = _checked_keep(poly, keep)
+    if not keep:
+        raise GridflexError("cannot project onto no dimensions: keep is empty")
     poly = normalize_rows(poly)
     cols = [poly.column(l) for l in keep]
     dim = len(cols)

@@ -194,7 +194,8 @@ def test_the_bindings_are_loaded_once():
 def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch):
     """An "optimal" point whose rows overshoot by more than linprog's
     post-solve slack, sqrt(1e-9) * 10, is a backend failure, in
-    ``maximize`` and in an ``LPSystem``."""
+    ``maximize`` and in an ``LPSystem``, also where the system holds the
+    rows as column bounds."""
     real = lp._highs
 
     class Drifting:
@@ -207,6 +208,7 @@ def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch
         def getSolution(self):
             solution = self._inner.getSolution()
             solution.row_value = list(np.array(solution.row_value) + drift)
+            solution.col_value = list(np.array(solution.col_value) + drift)
             return solution
 
     monkeypatch.setattr(lp, "_highs", types.SimpleNamespace(
@@ -214,9 +216,12 @@ def test_direct_backend_checks_the_optimum_it_is_given(drift, fails, monkeypatch
     monkeypatch.setattr(lp, "_backend", lp._solve_highs)
     data = _bounded()
     working = np.ones(len(data["b_ub"]), dtype=bool)
+    # The unit box, every row of one coefficient: the model has no rows.
+    box = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6), np.ones(6, dtype=bool)
     for solve in (lambda: _run("bounded"),
                   lambda: LPSystem(data["a_ub"], data["b_ub"], working).maximize(
-                      data["c"], range(3))):
+                      data["c"], range(3)),
+                  lambda: LPSystem(*box).maximize(np.ones(3), range(3))):
         if fails:
             with pytest.raises(LPSolverError, match="breaks the constraints"):
                 solve()
@@ -481,7 +486,8 @@ def _status_cases():
     """(name, c, a, b, working) whose lazy status is known: an infeasible
     stack, an unbounded one (on a few and on every working row), a working
     set that is unbounded on a bounded stack, an unbounded row pair that
-    HiGHS presolve calls infeasible, and the ``Unknown`` LP."""
+    HiGHS presolve calls infeasible, the ``Unknown`` LP, and a bounded stack
+    with many rows of one coefficient, in and out of the working set."""
     rng = np.random.default_rng(1)
     a, b = _bounded_stack(rng)
     a_inf = np.vstack([a, np.eye(5)[:1], -np.eye(5)[:1]])
@@ -493,6 +499,7 @@ def _status_cases():
     c_one = rng.normal(size=5)
     unknown = _unknown_on_dual()
     n_unknown = len(unknown["b_ub"])
+    a_single, b_single, c_single = _single_coefficient_heavy()
     return [
         ("infeasible", np.ones(5), a_inf, b_inf, _mask(len(b_inf), 20)),
         ("unbounded", np.eye(5)[0], a_unb, b_unb, _mask(len(b_unb), 20)),
@@ -504,10 +511,30 @@ def _status_cases():
          np.array([1.0, 2.0]), _mask(2, 2)),
         ("unknown-on-dual", unknown["c"], unknown["a_ub"], unknown["b_ub"],
          _mask(n_unknown, n_unknown)),
+        ("single-coefficient-heavy", c_single, a_single, b_single,
+         _mask(len(b_single), 12)),
     ]
 
 
-@pytest.mark.parametrize("case, backend", _on_both_backends(range(6)))
+def _single_coefficient_heavy():
+    """``(a, b, c)``: a bounded stack with, on each of its first four
+    columns, two rows of one coefficient per side at random scales, half of
+    them before the other rows and half after."""
+    rng = np.random.default_rng(3)
+    a, b = _bounded_stack(rng, n_rows=60)
+    rows, offsets = [], []
+    for j in range(4):
+        for sign in (1.0, 1.0, -1.0, -1.0):
+            scale, limit = rng.uniform(0.5, 3.0), rng.uniform(0.05, 0.5)
+            rows.append(sign * scale * np.eye(5)[j])
+            offsets.append(scale * limit)
+    rows, offsets = np.array(rows), np.array(offsets)
+    return (np.vstack([rows[::2], a, rows[1::2]]),
+            np.concatenate([offsets[::2], b, offsets[1::2]]),
+            rng.normal(size=5))
+
+
+@pytest.mark.parametrize("case, backend", _on_both_backends(range(7)))
 def test_system_statuses_match_maximize_lazy(case, backend, monkeypatch):
     _use_backend(backend, monkeypatch)
     name, c, a, b, working = _status_cases()[case]
@@ -523,10 +550,76 @@ def test_system_statuses_match_maximize_lazy(case, backend, monkeypatch):
     assert res.status == lazy.status, name
     if lazy.optimal:
         assert res.value == pytest.approx(lazy.value, abs=1e-9)
-    assert {"infeasible": "infeasible", "unbounded-working-set": "optimal"}.get(
+    assert {"infeasible": "infeasible", "unbounded-working-set": "optimal",
+            "single-coefficient-heavy": "optimal"}.get(
         name, "unbounded") == res.status
     if name == "unbounded-working-set":
         assert maximize(c, a[working], b[working]).status == "unbounded"
+
+
+@pytest.mark.parametrize("n_working", [0, 4])
+@pytest.mark.parametrize("backend", ["direct", "linprog"])
+def test_system_held_column_keeps_its_single_coefficient_rows(
+        backend, n_working, monkeypatch):
+    """A held column sits at zero, so a row of one coefficient that zero
+    breaks makes the LP infeasible, as on the sliced columns; freed, the
+    column takes the row as its bound."""
+    _use_backend(backend, monkeypatch)
+    # -1 <= x0 <= 1 and x1 >= 1, each a row of one coefficient, and
+    # x0 + x1 <= 5.
+    a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([1.0, 1.0, -1.0, 5.0])
+    c = np.array([1.0, 0.0])
+    assert maximize_lazy(c[[0]], a[:, [0]], b,
+                         _mask(4, n_working)).status == "infeasible"
+    system = LPSystem(a, b, _mask(4, n_working))
+    assert system.maximize(c, [0]).status == "infeasible"
+    res = system.maximize(np.array([1.0, 1.0]), [0, 1])
+    assert res.optimal and res.value == pytest.approx(5.0, abs=1e-9)
+    assert res.x[1] >= 1.0 - 1e-9
+    assert system.maximize(c, [0]).status == "infeasible"
+
+
+@pytest.mark.parametrize("backend", ["direct", "linprog"])
+def test_system_tighter_single_coefficient_row_holds(backend, monkeypatch):
+    """Of two rows of one coefficient on one side of a column, in either
+    order, the tighter one bounds it."""
+    _use_backend(backend, monkeypatch)
+    # x0 <= 3 and x0 <= 2 (as 2 x0 <= 4); x0 >= -1 and x0 >= -0.5 (as
+    # -4 x0 <= 2); -1 <= x1 <= 1.
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-4.0, 0.0],
+                  [0.0, 1.0], [0.0, -1.0]])
+    b = np.array([3.0, 4.0, 1.0, 2.0, 1.0, 1.0])
+    for order in ([0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 4, 5]):
+        system = LPSystem(a[order], b[order], _mask(6, 0))
+        for sign, value in ((1.0, 2.0), (-1.0, 0.5)):
+            res = system.maximize(np.array([sign, 0.0]), [0, 1])
+            assert res.optimal
+            assert res.value == pytest.approx(value, abs=1e-9)
+
+
+@direct_only
+def test_system_keeps_a_row_whose_bound_highs_reads_as_infinite(monkeypatch):
+    """HiGHS reads a bound of 1e20 or more as infinite, so such a row stays
+    a row of the model; the other rows of one coefficient fold into column
+    bounds and join the working set."""
+    monkeypatch.setattr(lp, "_backend", lp._solve_highs)
+    # x0 <= 1e21 as 1e-9 x0 <= 1e12, x0 <= 1e20 as 1e-8 x0 <= 1e12, and
+    # the box -1 <= x <= 1.
+    a = np.vstack([[1e-9, 0.0], [1e-8, 0.0], np.eye(2), -np.eye(2)])
+    b = np.array([1e12, 1e12, 1.0, 1.0, 1.0, 1.0])
+    working = np.array([True, True, False, False, False, False])
+    system = LPSystem(a, b, working)
+    assert working.all()
+    assert system._solver.getNumRow() == 2
+    res = system.maximize(np.array([1.0, 1.0]), [0, 1])
+    assert res.optimal and res.value == pytest.approx(2.0, abs=1e-9)
+    working = np.zeros(6, dtype=bool)
+    system = LPSystem(a, b, working)
+    assert working.tolist() == [False, False, True, True, True, True]
+    assert system._solver.getNumRow() == 0
+    assert system.maximize(np.array([1.0, 1.0]), [0, 1]).value == pytest.approx(
+        2.0, abs=1e-9)
 
 
 def test_system_mask_only_grows_and_is_deterministic():

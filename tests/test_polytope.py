@@ -275,6 +275,11 @@ def test_project_reorders_columns():
     assert np.allclose(verts.max(axis=0), [2.0, 1.0])
 
 
+def test_project_onto_no_dimension_is_refused():
+    with pytest.raises(GridflexError, match="keep is empty"):
+        project(box([(-1, 1), (-2, 2)]), [])
+
+
 def test_project_row_cap():
     rng = np.random.default_rng(5)
     a = np.vstack([rng.normal(size=(30, 4)), np.eye(4), -np.eye(4)])

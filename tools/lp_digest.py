@@ -1,6 +1,6 @@
 """Count and digest every LP of one seed-0 pass of each benchmark workload.
 
-    python3 tools/lp_digest.py
+    python3 tools/lp_digest.py [--save FILE] [--against FILE]
 
 Runs one pass of each workload in ``perfbench/workloads.py`` in-process
 (cli-commands too), then acceptance criterion 2 of
@@ -28,12 +28,21 @@ over each run's exit code and each artifact's relative path and bytes.
 Two trees that print the same line wrote byte-identical artifacts.
 A last line, ``fallback``, repeats the export-lattice and neighbor-maxdev
 passes with every LP on the ``linprog`` fallback, digested as one.
-Nothing is written under the repository.
+
+When the ``artifacts`` lines of two trees differ, ``--save FILE`` on one
+writes that battery's exit codes and artifacts to ``FILE`` as JSON, and
+``--against FILE`` on the other prints, per artifact that differs, the
+largest move of a number in it, or that it differs in more than numbers
+(its text apart from the numbers, or how many numbers it holds).
+Nothing is written under the repository: ``FILE`` must lie outside it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -138,11 +147,12 @@ def _recording(*owners):
         lp.LPSystem.__init__, lp.LPSystem.maximize = system_init, system_solve
 
 
-def _artifacts(tmp: Path, errors: list) -> tuple[int, str]:
+def _artifacts(tmp: Path, errors: list) -> tuple[int, str, dict]:
     """Run the ``artifacts`` battery under ``tmp``; returns the number of
-    artifacts written and the digest, and notes each failed run in
-    ``errors``."""
-    count, sha = 0, hashlib.sha256()
+    artifacts written, the digest and the outputs (``run<k>`` to its exit
+    code, ``run<k>/<path>`` to an artifact's text), and notes each failed
+    run in ``errors``."""
+    count, sha, outputs = 0, hashlib.sha256(), {}
     for k, (case, command, options) in enumerate(_CLI_RUNS):
         out_dir = tmp / "artifacts" / f"run{k}"
         code, _, detail = workloads.CliCommands._call(
@@ -152,11 +162,43 @@ def _artifacts(tmp: Path, errors: list) -> tuple[int, str]:
             errors.append(f"artifacts run {k} ({command} {options}): exit "
                           f"{code}: {detail.strip()[-300:]}")
         sha.update(f"run {k} exit {code}\n".encode())
+        outputs[f"run{k}"] = str(code)
         for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
             data = path.read_bytes()
             sha.update(f"{path.relative_to(out_dir)} {len(data)}\n".encode() + data)
+            outputs[f"run{k}/{path.relative_to(out_dir)}"] = data.decode(
+                "utf-8", "replace")
             count += 1
-    return count, sha.hexdigest()
+    return count, sha.hexdigest(), outputs
+
+
+# A decimal number: its digits, fraction and exponent.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _moves(saved: dict, outputs: dict) -> list[str]:
+    """One line per output of ``saved`` or ``outputs`` that differs between
+    them: the largest move of a number in it when only numbers differ,
+    else what else differs."""
+    lines = []
+    for name in sorted(saved.keys() | outputs.keys()):
+        old, new = saved.get(name), outputs.get(name)
+        if old == new:
+            continue
+        if old is None or new is None:
+            side = "saved" if new is None else "new"
+            lines.append(f"  {name}: only in the {side} run")
+            continue
+        # The text between the numbers, and so how many there are.
+        if _NUMBER.split(old) != _NUMBER.split(new):
+            lines.append(f"  {name}: differs in more than numbers")
+            continue
+        old_nums, new_nums = _NUMBER.findall(old), _NUMBER.findall(new)
+        moves = [abs(float(a) - float(b)) for a, b in zip(old_nums, new_nums)
+                 if a != b]
+        lines.append(f"  {name}: {len(moves)} of {len(old_nums)} numbers "
+                     f"moved, the largest by {max(moves):.3g}")
+    return lines
 
 
 def _workload(name: str, tmp: Path, errors: list):
@@ -173,7 +215,22 @@ def _line(name: str, log) -> str:
             f"runs {log[2]} iters {log[3]}")
 
 
+def _outside_the_repository(name: str) -> Path:
+    path = Path(name).resolve()
+    if path.is_relative_to(ROOT):
+        raise argparse.ArgumentTypeError(f"{name} lies inside the repository")
+    return path
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=_outside_the_repository, metavar="FILE",
+                        help="write the artifacts battery's outputs to FILE")
+    parser.add_argument("--against", type=_outside_the_repository,
+                        metavar="FILE", help="report how the artifacts differ "
+                        "from those a --save run wrote to FILE")
+    args = parser.parse_args()
+    saved = args.against and json.loads(args.against.read_text())
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.WORKLOADS:
@@ -181,7 +238,7 @@ def main() -> int:
             with _recording() as log:
                 run()
             print(_line(name, log))
-        count, digest = _artifacts(Path(tmp), errors)
+        count, digest, outputs = _artifacts(Path(tmp), errors)
         runs = [_workload(name, Path(tmp), errors) for name in _FALLBACK]
         backend, lp._backend = lp._backend, lp._solve_linprog
         try:
@@ -196,6 +253,13 @@ def main() -> int:
     print(_line("criterion-2", log))
     print(f"{'artifacts':16s} {count:7d} {digest}")
     print(_line("fallback", fallback))
+    if args.save:
+        args.save.write_text(json.dumps(outputs, indent=0, sort_keys=True))
+    if args.against:
+        moved = _moves(saved, outputs)
+        print(f"against {args.against}: {len(moved)} output(s) differ")
+        for line in moved:
+            print(line)
     for error in errors:
         print(f"failed: {error}")
     return 1 if errors else 0
