@@ -366,9 +366,10 @@ def compare_utilization(active_fe: ExternalPolytope, atc_fe: ExternalPolytope,
 
 
 def _neighbor_stack(study: Study, include_security: bool):
-    """The neighbor's assembled rows ``(a_ub, b_ub, nominal)`` over the
+    """The neighbor's assembled rows ``(a_ub, b_ub, start)`` over the
     columns ``[delta per bus..., p_B..., p_e...]``, before any merge;
-    ``nominal`` marks the rows of :func:`assemble_nominal`.
+    ``start`` marks the reserve bands and the balance pair of
+    :func:`assemble_nominal`.
 
     The rows are built once, over a PTDF whose internal columns are
     extended by ``nodal``, one bus column per neighbor bus.  The tie line
@@ -392,10 +393,10 @@ def _neighbor_stack(study: Study, include_security: bool):
                      for kind in ("line", "ext") for side in ("up", "dn"))
     keep = [not label.endswith(tie_rows) for label in block.labels]
     a, n_b, n_i = block.a[keep], view.n_i, block.n_i
-    nominal = np.array([label.startswith("N:") for label, k
-                        in zip(block.labels, keep) if k], dtype=bool)
+    start = np.array([label.startswith(("N:bus:", "N:balance")) for label, k
+                      in zip(block.labels, keep) if k], dtype=bool)
     return (np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]]),
-            block.b[keep], nominal)
+            block.b[keep], start)
 
 
 class _NeighborModel:
@@ -415,21 +416,25 @@ class _NeighborModel:
     picks it; the kept rows stay as assembled, unscaled and in their
     order.  With neighbor security on RTS-96 that leaves 906 of 4,890
     rows.  All zero rows share one direction, so one with a negative
-    offset stays and makes every LP infeasible.  Each mode solves on one :class:`lp.LPSystem` over the
-    kept rows plus the imported facets, freeing the probed bus's ``delta``
-    column with ``p_B`` and ``p_e``; its working rows start from the kept
-    nominal ones and carry over from one mode to the next.
+    offset stays and makes every LP infeasible.  Each mode solves on one
+    :class:`lp.LPSystem` over the kept rows plus the imported facets,
+    freeing the probed bus's ``delta`` column with ``p_B`` and ``p_e``.
+    Its working rows start from the kept reserve bands and balance pair,
+    which with the facets bound every LP (the bands bound ``p_B``, the
+    facets ``p_e`` and the balance ``delta``); the line and outage bands
+    join as the solves violate them, and the working rows carry over
+    from one mode to the next.
     """
 
     def __init__(self, study: Study, include_security: bool = False):
         self.view = study.view
         self.buses = tuple(b.id for b in study.view.buses)
-        a, b, nominal = _neighbor_stack(study, include_security)
+        a, b, start = _neighbor_stack(study, include_security)
         kept = tightest_rows(a, b)
         self.a_ub, self.b_ub = a[kept], b[kept]
-        # Working rows of the lazy solves: the kept nominal rows first,
-        # grown by each solve.
-        self.working = nominal[kept]
+        # Working rows of the lazy solves: the kept bands and balance
+        # first, grown by each solve.
+        self.working = start[kept]
 
     def solve(self, mode: str, imported: ExternalPolytope, buses) -> list:
         """``(max_up, max_dn)`` of every bus in ``buses``, in that order;

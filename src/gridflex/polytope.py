@@ -449,7 +449,7 @@ def vertices(poly: HPolytope) -> np.ndarray:
         idx = idx[np.abs(np.linalg.det(p.A[idx])) >= 1e-12]
         v = np.linalg.solve(p.A[idx], p.b[idx][..., None])[..., 0]
         found.append(v[np.all(v @ p.A.T <= p.b + VERTEX_TOL, axis=1)])
-    verts = np.unique(np.round(np.vstack(found), _DUP_DECIMALS), axis=0)
+    verts = _unique_rows(np.round(np.vstack(found), _DUP_DECIMALS))
     if not len(verts) and not is_feasible(p)[0]:
         raise InfeasibleSetError("cannot enumerate the vertices of an empty polytope")
     if not (len(verts) and p.nrows > p.dim
@@ -459,11 +459,24 @@ def vertices(poly: HPolytope) -> np.ndarray:
     return verts
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``a``, sorted: ``np.unique(a, axis=0)``, which
+    in numpy 2.4 imports ``numpy.ma`` on its first call.  The rows are
+    sorted as that call sorts them, one structured value per row by the
+    same unstable sort, so of rows equal but for the sign of a zero the
+    same one stays."""
+    a = np.ascontiguousarray(a)
+    rows = np.sort(a.view([(f"f{i}", a.dtype) for i in range(a.shape[1])])[:, 0])
+    keep = np.ones(rows.size, dtype=bool)
+    keep[1:] = rows[1:] != rows[:-1]
+    return rows[keep].view(a.dtype).reshape(-1, a.shape[1])
+
+
 def hull_2d(points: np.ndarray) -> np.ndarray:
     """Convex hull of 2-D points (Andrew's monotone chain), counterclockwise
     from the lexicographically smallest point.  A point within ``_HULL_TOL``
     of the chord between its neighbours is no vertex."""
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    pts = _unique_rows(np.asarray(points, dtype=float).reshape(-1, 2))
     if len(pts) <= 2:
         return pts
 

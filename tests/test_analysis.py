@@ -389,28 +389,33 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
     row stack plus the imported facets."""
     study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=fraction),
                         rts_case.neighbor_area)
-    a_all, b_all, nominal = analysis._neighbor_stack(study, include_security=True)
+    a_all, b_all, start_all = analysis._neighbor_stack(study, include_security=True)
     model = _NeighborModel(study, include_security=True)
     n_own, view, start = len(model.b_ub), study.view, model.working.copy()
     n_int, n_b, n_bus = len(view.internal_lines), view.n_i, len(model.buses)
     # The assembled block, before the merge: the line band, the reserve
-    # bands and the balance pair, then the outage rows.
+    # bands and the balance pair, then the outage rows.  Only the bands
+    # and the balance pair start working.
     n_nominal = 2 * (n_int + n_b + 1)
-    assert nominal[:n_nominal].all() and not nominal[n_nominal:].any()
+    assert not start_all[:2 * n_int].any() and not start_all[n_nominal:].any()
+    assert start_all[2 * n_int:n_nominal].all()
     band = np.hstack([np.zeros((n_b, n_bus)), np.eye(n_b),
                       np.zeros((n_b, view.n_e))])
     balance = np.concatenate([np.ones(n_bus + n_b), -np.ones(view.n_e)])
-    np.testing.assert_array_equal(a_all[2 * n_int:n_nominal],
-                                  np.vstack([band, -band, balance, -balance]))
-    np.testing.assert_array_equal(
-        b_all[2 * n_int:n_nominal],
-        np.concatenate([study.limits.bus_up, -study.limits.bus_dn, [0.0, 0.0]]))
+    rows = np.vstack([band, -band, balance, -balance])
+    offsets = np.concatenate([study.limits.bus_up, -study.limits.bus_dn,
+                              [0.0, 0.0]])
+    np.testing.assert_array_equal(a_all[start_all], rows)
+    np.testing.assert_array_equal(b_all[start_all], offsets)
+    # Each has a direction of its own, so the merge keeps them all.
+    np.testing.assert_array_equal(model.a_ub[start], rows)
+    np.testing.assert_array_equal(model.b_ub[start], offsets)
     checked, probed, warm = [], [], lp.LPSystem.maximize
 
     def warm_then_full(system, c, free):
         # One stack under every mode: [delta per bus, p_B, p_e], the model's
-        # own rows and then the imported facets, with the kept nominal rows
-        # working from the first solve.
+        # own rows and then the imported facets, with the kept bands and
+        # balance pair working from the first solve.
         assert system.a_ub.shape[1] == n_bus + view.n_i + view.n_e
         np.testing.assert_array_equal(system.a_ub[:n_own], model.a_ub)
         assert system.working[:n_own][start].all()
@@ -567,17 +572,17 @@ def test_atc_unit_rows_match_one_column_per_exporter_unit(rts_case, security):
 
 
 def _neighbor_lp_rows(case, monkeypatch, include_security):
-    """Per neighbor solve, the working rows of its LP system before and
-    after the solve and the system's row count; and the model's own row
-    count.  Only the solves inside ``_NeighborModel.solve`` count: the
+    """Per neighbor solve, the working-row masks of its LP system before
+    and after the solve and the system's row count; and the model's own
+    row count.  Only the solves inside ``_NeighborModel.solve`` count: the
     exports' projections solve on systems of their own."""
     rows, solve, inside = [], lp.LPSystem.maximize, []
 
     def counted(system, c, free):
-        before = system.working.sum()
+        before = system.working.copy()
         res = solve(system, c, free)
         if inside:
-            rows.append((before, system.working.sum(), system.b_ub.size))
+            rows.append((before, system.working.copy(), system.b_ub.size))
         return res
 
     monkeypatch.setattr(lp.LPSystem, "maximize", counted)
@@ -605,25 +610,81 @@ def _neighbor_lp_rows(case, monkeypatch, include_security):
 def test_neighbor_security_lps_stay_small(rts_case, monkeypatch):
     rows, (n_own,) = _neighbor_lp_rows(rts_case, monkeypatch, True)
     assert len(rows) == 2 * 3 * 24  # directions × modes × buses
-    assert max(after for _, after, _ in rows) <= 1000
-    assert max(after for _, after, _ in rows) < n_own
+    assert max(after.sum() for _, after, _ in rows) <= 1000
+    assert max(after.sum() for _, after, _ in rows) < n_own
 
 
-def test_neighbor_lps_without_security_use_every_row(rts_case, rts_imported,
-                                                     monkeypatch):
-    rows, _ = _neighbor_lp_rows(rts_case, monkeypatch, False)
+def test_neighbor_lps_without_security_start_from_bands_and_balance(
+        rts_case, rts_imported, monkeypatch):
+    """Without neighbor security the first LP works on the reserve bands,
+    the balance pair and the imported facets; every later LP starts from
+    the rows the one before it ended with, and every LP stays within the
+    kept rows plus the facets."""
+    rows, (n_own,) = _neighbor_lp_rows(rts_case, monkeypatch, False)
     study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
                         rts_case.neighbor_area)
     # The nominal block, one row per direction: RTS-96's parallel line
     # pairs share their band rows.
     a, b, _ = analysis._neighbor_stack(study, include_security=False)
-    n_own = len({polytope._direction_key(row).tobytes()
-                 for row in polytope._unit_rows(a, b)[0]})
-    assert n_own < len(b)
-    expected = [n_own + rts_imported[mode].poly.nrows
+    assert n_own == len({polytope._direction_key(row).tobytes()
+                         for row in polytope._unit_rows(a, b)[0]}) < len(b)
+    start = _NeighborModel(study).working
+    assert start.sum() == 2 * (study.view.n_i + 1)  # bands and balance
+    n_facets = [rts_imported[mode].poly.nrows
                 for mode in ("passive", "active", "atc")
                 for _ in range(24 * 2)]  # buses × directions
-    assert rows == [(n, n, n) for n in expected]
+    assert [size for *_, size in rows] == [n_own + n for n in n_facets]
+    np.testing.assert_array_equal(
+        rows[0][0], np.append(start, np.ones(n_facets[0], dtype=bool)))
+    ended = start
+    for before, after, _ in rows:
+        np.testing.assert_array_equal(before[:n_own], ended)
+        assert before[n_own:].all()  # the facets
+        assert (after >= before).all()
+        ended = after[:n_own]
+    # Some line band never binds, so it never joins.
+    assert not ended.all()
+
+
+@pytest.mark.parametrize("backend", ["_solve_highs", "_solve_linprog"])
+@pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
+def test_neighbor_lps_never_fall_back_to_the_full_stack(rts_case, rts_imported,
+                                                        monkeypatch, security,
+                                                        backend):
+    """The first working rows bound every neighbor LP, so no solve ends
+    "unbounded" on its working rows and falls back to one cold
+    ``lp.maximize`` on the full stack.  The direct backend calls
+    ``lp.maximize`` not at all; the ``linprog`` fallback calls it on the
+    working rows only."""
+    study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
+                        rts_case.neighbor_area)
+    model = _NeighborModel(study, include_security=security)
+    lp._backend or lp._choose_backend()
+    monkeypatch.setattr(lp, "_backend", getattr(lp, backend))
+    systems, calls = [], []
+    real_maximize, real_solve = lp.maximize, lp.LPSystem.maximize
+
+    def solve(system, c, free):
+        systems.append(system)
+        try:
+            return real_solve(system, c, free)
+        finally:
+            systems.pop()
+
+    def maximize(c, a_ub, b_ub):
+        system, = systems
+        calls.append((len(b_ub), system.working.sum(), system.b_ub.size))
+        return real_maximize(c, a_ub, b_ub)
+
+    monkeypatch.setattr(lp.LPSystem, "maximize", solve)
+    monkeypatch.setattr(lp, "maximize", maximize)
+    for mode, imported in rts_imported.items():
+        model.solve(mode, imported, model.buses)
+    if backend == "_solve_highs":
+        assert calls == []
+    else:
+        assert calls
+        assert all(rows == working < size for rows, working, size in calls)
 
 
 @pytest.mark.parametrize("level", [1.0, 0.7])

@@ -650,3 +650,32 @@ def test_a_run_loads_neither_scipy_optimize_nor_scipy_spatial():
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "True", "True -2.0"]
+
+
+CLI_RUN = """
+import runpy
+import sys
+sys.argv = ["gridflex.cli", *sys.argv[1:]]
+try:
+    runpy.run_module("gridflex.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    print("exit", stop.code)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_atc_leaves_numpy_ma_unloaded(tmp_path):
+    """``python -m gridflex.cli atc`` enumerates vertices and 2-D hulls
+    without importing ``numpy.ma``, which ``np.unique(..., axis=0)``
+    imports on its first call."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_RUN, "--out-dir", str(tmp_path), "atc",
+         "--case", _toy()], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["exit 0", "False"]
+    assert (tmp_path / "atc_comparison.json").is_file()

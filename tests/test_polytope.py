@@ -459,6 +459,21 @@ def test_vertices_of_a_set_empty_by_less_than_the_tolerance():
     assert polytope.vertices(p).tolist() == [[0.0], [5e-08]]
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 12, 16, 17, 40, 300])
+def test_unique_rows_are_numpys_to_the_sign_of_zero(n_rows):
+    """The dedup of ``vertices`` and ``hull_2d`` gives the bytes of
+    ``np.unique(a, axis=0)``, also where rows differ only in the sign of
+    a zero, past the 16 rows below which numpy's sort is stable."""
+    rng = np.random.default_rng(n_rows)
+    for n_col in (1, 2, 3):
+        for _ in range(20):
+            a = rng.integers(-2, 3, size=(n_rows, n_col)).astype(float)
+            a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
+            got, want = polytope._unique_rows(a), np.unique(a, axis=0)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_no_lp_runs_on_a_bounded_nonempty_set(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP ran")

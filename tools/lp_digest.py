@@ -13,13 +13,15 @@ per workload the LP count (a system solve counts as one) and a SHA-256
 digest over each call's inputs (shapes and bytes), status, ``x`` and value;
 a system's stack and first working rows are digested once, when it is
 built.  Two trees that print the same digests solved the same LPs, in the
-same order, to the same bits.  Two more columns, ``runs`` and ``iters``,
-give the HiGHS runs on the systems' own models (a primal retry counts as
-a run of its own) and the simplex iterations those runs took, so the
-pivots a change saves show; they are left out of the digest, which stays
-comparable with that of trees that do not print them.  A system's cold
+same order, to the same bits.  Three more columns, ``runs``, ``iters``
+and ``rows``, give the HiGHS runs on the systems' own models (a primal
+retry counts as a run of its own), the simplex iterations those runs
+took and the mean number of rows the model held per run, so the pivots
+and the model rows a change saves show; they are left out of the
+digest, which stays comparable with that of trees that do not print
+them.  A system's cold
 full-stack solve goes through ``maximize`` and counts there as an LP.
-On the ``linprog`` fallback both read 0, and every solve on a system's
+On the ``linprog`` fallback all three read 0, and every solve on a system's
 working rows goes through ``maximize`` and counts as an LP as well.
 
 The ``artifacts`` line runs a fixed battery of CLI commands
@@ -84,8 +86,9 @@ def _update(sha, *values) -> None:
 
 
 class _CountedRuns:
-    """A system's ``_Highs`` instance that adds each ``run`` and its
-    simplex iterations to ``log[2]`` and ``log[3]``."""
+    """A system's ``_Highs`` instance that adds each ``run``, its simplex
+    iterations and the model's rows to ``log[2]``, ``log[3]`` and
+    ``log[4]``."""
 
     def __init__(self, solver, log):
         self._solver, self._log = solver, log
@@ -94,6 +97,7 @@ class _CountedRuns:
         status = self._solver.run()
         self._log[2] += 1
         self._log[3] += self._solver.getInfo().simplex_iteration_count
+        self._log[4] += self._solver.getNumRow()
         return status
 
     def __getattr__(self, name):
@@ -106,10 +110,11 @@ def _recording(*owners):
     ``gridflex.lp`` or through an ``owners`` module's own binding of the
     name, and every ``LPSystem`` solve: a system's stack and first working
     rows once when it is built, then per solve its ``c``, ``free`` and
-    result.  Yields ``[count, sha, runs, iterations]``; a system solve
-    counts as one LP, and the HiGHS runs on a system's own model, with
-    their simplex iterations, are counted apart from the digest."""
-    real, log = lp.maximize, [0, hashlib.sha256(), 0, 0]
+    result.  Yields ``[count, sha, runs, iterations, rows]``; a system
+    solve counts as one LP, and the HiGHS runs on a system's own model,
+    with their simplex iterations and model rows, are counted apart from
+    the digest."""
+    real, log = lp.maximize, [0, hashlib.sha256(), 0, 0, 0]
     system_init, system_solve = lp.LPSystem.__init__, lp.LPSystem.maximize
 
     def maximize(c, a_ub, b_ub):
@@ -211,8 +216,9 @@ def _workload(name: str, tmp: Path, errors: list):
 
 
 def _line(name: str, log) -> str:
+    rows = log[4] / log[2] if log[2] else 0.0
     return (f"{name:16s} {log[0]:7d} {log[1].hexdigest()} "
-            f"runs {log[2]} iters {log[3]}")
+            f"runs {log[2]} iters {log[3]} rows {rows:.1f}")
 
 
 def _outside_the_repository(name: str) -> Path:
