@@ -30,9 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .constraints import (ConstraintBlock, DeltaLimits, assemble_generator_outages,
-                          assemble_line_outages, assemble_nominal,
-                          compute_delta_limits, stack_n1)
+from .constraints import (ORIGIN_TOL, ConstraintBlock, DeltaLimits,
+                          assemble_generator_outages, assemble_line_outages,
+                          assemble_nominal, compute_delta_limits, stack_n1)
 from .errors import (CaseError, GridflexError, InfeasibleSetError,
                      UnboundedSetError)
 from .network import (AreaView, NetworkCase, ReserveConfig, configure_reserves,
@@ -43,8 +43,6 @@ from .polytope import (CONTAIN_TOL, DEFAULT_ROW_CAP, REDUNDANCY_TOL, HPolytope,
 from .sensitivity import (GgdfMatrix, LodfMatrix, NetworkShift, PtdfMatrix,
                           ScheduledFlows, compute_dc_flows, compute_ggdf,
                           compute_lodf, compute_ptdf, network_shift)
-
-_ORIGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ class Study:
                 outages=spec.line_outages, strict=spec.strict_line_outages)
             block = stack_n1(block, gen_block, line_block)
 
-        bad = block.b < -_ORIGIN_TOL
+        bad = block.b < -ORIGIN_TOL
         if np.any(bad):
             raise InfeasibleSetError(
                 "the scheduled operating point violates security rows",
@@ -180,7 +178,7 @@ class Study:
         """
         projected = project(self.flexibility_set(block, spec),
                             self.view.external_labels, tol=tol, row_cap=row_cap)
-        if np.any(projected.b < -_ORIGIN_TOL):
+        if np.any(projected.b < -ORIGIN_TOL):
             raise InfeasibleSetError("projected set does not contain the origin")
         return ExternalPolytope(poly=projected, provenance={
             "case_hash": self.case.case_hash(), "spec": spec.describe()})
@@ -372,31 +370,29 @@ def _neighbor_stack(study: Study, include_security: bool):
     :func:`assemble_nominal`.
 
     The rows are built once, over a PTDF whose internal columns are
-    extended by ``nodal``, one bus column per neighbor bus.  The tie line
-    and tie source bands are dropped by their label, since the imported
-    facets bound the ties; the tie columns are flipped into the exporter's
-    convention, and the line outages are pinned to internal lines.
+    extended by ``nodal``, one bus column per neighbor bus.  Every
+    assembler monitors the internal lines only: the imported facets bound
+    the ties, so no tie line or tie source band is built, and each outage
+    keeps its tightest internal-line rows.  The tie columns are flipped
+    into the exporter's convention, and the line outages are pinned to
+    internal lines.
     """
     view, ptdf, limits = study.view, study.ptdf, study.limits
     ext = replace(ptdf, h_i=np.hstack([ptdf.h_i, ptdf.nodal]))
-    block = assemble_nominal(view, ext, limits)
+    internal = tuple(ln.id for ln in view.internal_lines)
+    block = assemble_nominal(view, ext, limits, monitored=internal)
     if include_security:
-        internal = tuple(ln.id for ln in view.internal_lines)
         outages = tuple(o for o in study.lodf.outage_ids if o in internal)
         block = stack_n1(
             block,
             assemble_generator_outages(view, ext, study.ggdf, limits,
-                                       study.dispatched),
-            assemble_line_outages(view, ext, study.lodf, limits,
-                                  study.flows, outages=outages))
-    tie_rows = tuple(f":{kind}:{t.line.id}:{side}" for t in view.ties
-                     for kind in ("line", "ext") for side in ("up", "dn"))
-    keep = [not label.endswith(tie_rows) for label in block.labels]
-    a, n_b, n_i = block.a[keep], view.n_i, block.n_i
-    start = np.array([label.startswith(("N:bus:", "N:balance")) for label, k
-                      in zip(block.labels, keep) if k], dtype=bool)
-    return (np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]]),
-            block.b[keep], start)
+                                       study.dispatched, monitored=internal),
+            assemble_line_outages(view, ext, study.lodf, limits, study.flows,
+                                  outages=outages, monitored=internal))
+    a, n_b, n_i = block.a, view.n_i, block.n_i
+    start = np.array([label.startswith(("N:bus:", "N:balance"))
+                      for label in block.labels], dtype=bool)
+    return (np.hstack([a[:, n_b:n_i], a[:, :n_b], -a[:, n_i:]]), block.b, start)
 
 
 class _NeighborModel:

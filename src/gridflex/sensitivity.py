@@ -210,26 +210,30 @@ def compute_ggdf(view: AreaView, ptdf: PtdfMatrix,
     if units is None:
         units = tuple(g for g in area_units if g.p_sched_pu > 0.0)
     nodal, index = ptdf.nodal, ptdf.bus_index
-    columns = np.zeros((nodal.shape[0], len(units)))
-    weight_maps = []
-    for j, unit in enumerate(units):
-        rest = [m for m in area_units if m.id != unit.id]
-        total_cap = sum(m.capacity_pu for m in rest)
-        if total_cap <= 0.0:
-            raise CaseError(
-                f"no remaining capacity to absorb the outage of unit {unit.id}")
-        share = {m.id: m.capacity_pu / total_cap for m in rest}
-        col = -nodal[:, index[unit.bus]]
-        for m in rest:
-            col = col + share[m.id] * nodal[:, index[m.bus]]
-        columns[:, j] = col
-        weight_maps.append(share)
+    # own[k, m]: area unit m is outage k's unit.  A term of -0.0 adds
+    # nothing, not even to a -0.0, so each sum below runs over the other
+    # units in area order and takes the bits of the loop it stands for.
+    ids = [m.id for m in area_units]
+    own = np.array([u.id for u in units], dtype=str)[:, None] == np.array(ids)
+    capacity = np.where(own, -0.0, [m.capacity_pu for m in area_units])
+    total_cap = np.add.accumulate(capacity, axis=1)[:, -1]
+    if np.any(total_cap <= 0.0):
+        unit = units[int(np.argmax(total_cap <= 0.0))]
+        raise CaseError(
+            f"no remaining capacity to absorb the outage of unit {unit.id}")
+    share = capacity / total_cap[:, None]
+    pickup = np.where(own[:, :, None], -0.0,
+                      share[:, :, None] * nodal[:, [index[m.bus] for m in area_units]].T)
+    lost = -nodal[:, [index[u.bus] for u in units]].T
+    columns = np.add.accumulate(np.concatenate([lost[:, None], pickup], axis=1),
+                                axis=1)[:, -1]
     return GgdfMatrix(
         unit_ids=tuple(u.id for u in units),
         unit_buses=tuple(u.bus for u in units),
-        matrix=columns,
+        matrix=np.ascontiguousarray(columns.T),
         p_gen_pu=np.array([u.p_sched_pu for u in units]),
-        weights=tuple(weight_maps),
+        weights=tuple({i: w for i, w, o in zip(ids, row, mine) if not o}
+                      for row, mine in zip(share.tolist(), own.tolist())),
     )
 
 

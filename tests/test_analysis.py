@@ -14,6 +14,7 @@ from gridflex import (FlexibilitySpec, GridflexError, HPolytope,
 from gridflex import analysis, lp, polytope, sensitivity
 from gridflex.analysis import ExternalPolytope, Study, _NeighborModel
 
+import band_reference
 from conftest import triangle_tie_dict
 from fm_reference import fourier_motzkin, remove_redundant
 from gridflex import case_from_dict
@@ -446,27 +447,36 @@ def test_lazy_neighbor_rows_match_the_full_stack(rts_case, rts_imported,
 
 @pytest.mark.parametrize("security", [False, True], ids=["n", "neighbor-n1"])
 def test_merged_neighbor_stack_is_the_assembled_one(rts_case, security):
-    """The model keeps assembled rows, one per direction, and every dropped
-    row is a positive multiple of a kept row that is no tighter."""
+    """The model keeps assembled rows, one per direction, and every row of
+    the full bands is a positive multiple of a kept row that is no
+    tighter; the assembled rows are rows of the full bands, and merge to
+    the same rows."""
     study = Study.build(rts_case, ReserveConfig(mode="fraction", fraction=0.1),
                         rts_case.neighbor_area)
     a_all, b_all, _ = analysis._neighbor_stack(study, security)
+    a_full, b_full = band_reference.full_neighbor_stack(study, security)
     model = _NeighborModel(study, include_security=security)
+    full = {np.append(row, off).tobytes() for row, off in zip(a_full, b_full)}
     assembled = {np.append(row, off).tobytes() for row, off in zip(a_all, b_all)}
+    assert assembled <= full
     for row, off in zip(model.a_ub, model.b_ub):
         assert np.append(row, off).tobytes() in assembled
     unit_kept, off_kept = polytope._unit_rows(model.a_ub, model.b_ub)
     keys = [polytope._direction_key(row).tobytes() for row in unit_kept]
     assert len(set(keys)) == len(keys)
     kept_at = {key: k for k, key in enumerate(keys)}
-    unit_all, off_all = polytope._unit_rows(a_all, b_all)
+    unit_all, off_all = polytope._unit_rows(a_full, b_full)
     for row, off in zip(unit_all, off_all):
         k = kept_at[polytope._direction_key(row).tobytes()]
         np.testing.assert_allclose(row, unit_kept[k], atol=1e-9)
         assert off >= off_kept[k] - 1e-15
-    # RTS-96's parallel line pairs share their band rows, and with security
-    # each outage's rows fall to few directions.
-    assert (len(b_all), len(model.b_ub)) == ((4890, 906) if security else (98, 90))
+    merged = polytope.tightest_rows(a_full, b_full)
+    assert np.array_equal(a_full[merged], model.a_ub)
+    assert np.array_equal(b_full[merged], model.b_ub)
+    # RTS-96's parallel line pairs share their band rows; with security
+    # each outage keeps its tightest rows, which fall to few directions.
+    assert (len(b_full), len(b_all), len(model.b_ub)) == (
+        (4890, 2300, 906) if security else (98, 98, 90))
 
 
 def test_merged_neighbor_bounds_match_the_assembled_rows(rts_case, rts_imported):
@@ -705,7 +715,7 @@ def test_rts_projections_match_fm(rts_case, level):
 
 
 def test_rts_active_n1_export_lps_stay_small(rts_case, monkeypatch):
-    """No LP of the RTS-96 active N-1 export sees the whole 5,686-row stack:
+    """No LP of the RTS-96 active N-1 export sees the whole 2,488-row stack:
     neither a support LP on the projection's system, whose working rows
     stay few after every solve, nor a cold one (the full-stack solve after
     an unbounded working set)."""

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from gridflex import (CaseError, ConstraintBlock, GridflexError,
-                      assemble_generator_outages, assemble_line_outages,
-                      assemble_nominal, case_from_dict, compute_dc_flows,
-                      compute_delta_limits, compute_ggdf, compute_lodf,
-                      compute_ptdf, partition, stack_n1)
+from gridflex import (CaseError, ConstraintBlock, FlexibilitySpec, GridflexError,
+                      InfeasibleSetError, ReserveConfig, assemble_generator_outages,
+                      assemble_line_outages, assemble_nominal, case_from_dict,
+                      compute_dc_flows, compute_delta_limits, compute_ggdf,
+                      compute_lodf, compute_ptdf, partition, stack_n1)
+from gridflex.analysis import Study
 from gridflex.network import AreaView, TieAttachment, TransmissionLine
+from gridflex.polytope import _direction_key, _unit_rows, normalize_rows
 from gridflex.sensitivity import PtdfMatrix, ScheduledFlows
 
+import band_reference as ref
 from conftest import triangle_tie_dict
 
 
@@ -212,6 +215,18 @@ def test_line_outage_empty_set(triangle_parts):
     assert block.nrows == 0
 
 
+def _tightest_of_full_band(block, full):
+    """Each row of ``full`` is a positive multiple of a row of ``block``
+    that is no looser: ``block`` keeps one row per direction."""
+    unit_kept, off_kept = _unit_rows(block.a, block.b)
+    keys = [_direction_key(row).tobytes() for row in unit_kept]
+    assert len(set(keys)) == len(keys)
+    kept_at = {key: k for k, key in enumerate(keys)}
+    for row, off in zip(*_unit_rows(full.a, full.b)):
+        k = kept_at[_direction_key(row).tobytes()]
+        assert off >= off_kept[k] - 1e-15
+
+
 def test_line_outage_unloaded_line_keeps_nominal_margins():
     raw = triangle_tie_dict()
     for b in raw["buses"]:
@@ -226,29 +241,44 @@ def test_line_outage_unloaded_line_keeps_nominal_margins():
     lodf = compute_lodf(view)
     block = assemble_line_outages(view, ptdf, lodf, limits, flows,
                                   outages=("1-3",))
-    offs = dict(zip(block.labels, block.b))
-    for lid in ("1-2", "2-3"):
-        k = view.line_ids.index(lid)
-        assert offs[f"L:1-3:line:{lid}:up"] == pytest.approx(limits.line_up[k])
-        assert offs[f"L:1-3:line:{lid}:dn"] == pytest.approx(-limits.line_dn[k])
+    full = ref.line_outage_bands(view, ptdf, lodf, limits, flows,
+                                 outages=("1-3",))
+    margins = {}
+    for k, lid in enumerate(view.line_ids):
+        margins[f"L:1-3:line:{lid}:up"] = limits.line_up[k]
+        margins[f"L:1-3:line:{lid}:dn"] = -limits.line_dn[k]
+    # With nothing scheduled the outage moves no margin: every row of the
+    # full band, and so every kept row, has its line's nominal margin.
+    assert {f"L:1-3:line:{lid}:{side}" for lid in ("1-2", "2-3")
+            for side in ("up", "dn")} <= set(full.labels)
+    for rows in (full, block):
+        for label, off in zip(rows.labels, rows.b):
+            assert off == pytest.approx(margins[label])
+    assert block.nrows == 2 and set(block.labels) <= set(full.labels)
+    _tightest_of_full_band(block, full)
 
 
 def test_line_outage_constants_match_rerouted_flow(triangle_parts):
-    """Offsets shift by the rerouted scheduled flow of the tripped line."""
+    """Offsets shift by the rerouted scheduled flow of the tripped line,
+    and of the full band the tightest row of each direction stays."""
     _, view, flows, limits, ptdf = triangle_parts
     lodf = compute_lodf(view)
     block = assemble_line_outages(view, ptdf, lodf, limits, flows,
                                   outages=("1-3",))
+    full = ref.line_outage_bands(view, ptdf, lodf, limits, flows,
+                                 outages=("1-3",))
     _, col = lodf.column("1-3")
     sched = flows.flow("1-3")
-    offs = dict(zip(block.labels, block.b))
+    expected = {}
     for k, lid in enumerate(view.line_ids):
-        if lid == "1-3" or f"L:1-3:line:{lid}:up" not in offs:
-            continue
-        assert offs[f"L:1-3:line:{lid}:up"] == pytest.approx(
-            limits.line_up[k] - col[k] * sched)
-        assert offs[f"L:1-3:line:{lid}:dn"] == pytest.approx(
-            -limits.line_dn[k] - col[k] * sched)
+        expected[f"L:1-3:line:{lid}:up"] = limits.line_up[k] - col[k] * sched
+        expected[f"L:1-3:line:{lid}:dn"] = -limits.line_dn[k] - col[k] * sched
+    assert full.nrows > block.nrows > 0
+    for rows in (full, block):
+        for label, off in zip(rows.labels, rows.b):
+            assert "L:1-3:line:1-3:" not in label
+            assert off == pytest.approx(expected[label])
+    _tightest_of_full_band(block, full)
 
 
 def test_line_outage_bridge_is_rejected(triangle_parts):
@@ -262,7 +292,7 @@ def test_line_outage_bridge_is_rejected(triangle_parts):
 def test_strict_mode_keeps_origin_feasible_and_differs(triangle_parts):
     _, view, flows, limits, ptdf = triangle_parts
     lodf = compute_lodf(view)
-    loose = assemble_line_outages(view, ptdf, lodf, limits, flows)
+    loose = ref.line_outage_bands(view, ptdf, lodf, limits, flows)
     strict = assemble_line_outages(view, ptdf, lodf, limits, flows, strict=True)
     assert np.all(strict.b >= -1e-9)
     label = "L:1-3:line:1-2:up"
@@ -272,6 +302,10 @@ def test_strict_mode_keeps_origin_feasible_and_differs(triangle_parts):
     k = view.line_ids.index("1-2")
     base = np.concatenate([ptdf.h_i[k], ptdf.h_e[k]])
     assert np.allclose(row_strict[label] - row_loose[label], base, atol=1e-12)
+    # Strict rows are not parallel: every one of the full band stays.
+    full = ref.line_outage_bands(view, ptdf, lodf, limits, flows, strict=True)
+    assert strict.labels == full.labels
+    assert np.array_equal(strict.a, full.a) and np.array_equal(strict.b, full.b)
 
 
 def test_stack_preserves_order_and_labels(triangle_parts):
@@ -318,3 +352,113 @@ def test_dimension_mismatch_rejected(triangle_parts):
     with pytest.raises(GridflexError, match="column counts"):
         stack_n1(nominal, wrong, wrong)
 
+
+
+# Studies the outage blocks are checked on against the full bands.
+_STUDIES = [("triangle", "file"), ("rts", "file"), ("rts", "full"),
+            ("rts@0.7", "full")]
+
+
+def _study(request, name: str, reserves: str) -> Study:
+    if name == "triangle":
+        case = case_from_dict(triangle_tie_dict())
+    else:
+        from gridflex import scale_load
+
+        case = request.getfixturevalue("rts_case")
+        if "@" in name:
+            case = scale_load(case, float(name.split("@")[1]))
+    return Study.build(case, ReserveConfig(mode=reserves))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("name,reserves", _STUDIES)
+def test_outage_rows_are_rows_of_the_full_bands(request, name, reserves, strict):
+    """Every assembled row is a row of the full bands, to the byte and with
+    its label, in the full bands' order; strict bands keep every row."""
+    study = _study(request, name, reserves)
+    spec = FlexibilitySpec("active", "n1", study.reserves,
+                           strict_line_outages=strict)
+    block, full = study.assemble(spec), ref.full_stack(study, spec)
+    position = {label: k for k, label in enumerate(full.labels)}
+    assert len(position) == full.nrows
+    at = [position[label] for label in block.labels]
+    assert at == sorted(at)
+    assert np.array_equal(block.a, full.a[at]) and np.array_equal(block.b, full.b[at])
+    assert block.a.tobytes() == full.a[at].tobytes()
+    line_rows = [l for l in full.labels if l.startswith("L:")]
+    kept = [l for l in block.labels if l.startswith("L:")]
+    if strict:
+        assert kept == line_rows
+    else:
+        assert len(kept) <= 2 * len(study.lodf.outage_ids) < len(line_rows)
+
+
+@pytest.mark.parametrize("approach", ["active", "passive"])
+@pytest.mark.parametrize("name,reserves", _STUDIES)
+def test_merged_rows_match_the_full_bands(request, name, reserves, approach):
+    """``normalize_rows`` keeps the same rows, to the bit, from the
+    assembled stack as from the full bands."""
+    study = _study(request, name, reserves)
+    spec = FlexibilitySpec(approach, "n1", study.reserves)
+    merged, merged_full = (
+        normalize_rows(study.flexibility_set(block, spec))
+        for block in (study.assemble(spec), ref.full_stack(study, spec)))
+    assert merged.A.tobytes() == merged_full.A.tobytes()
+    assert merged.b.tobytes() == merged_full.b.tobytes()
+
+
+@pytest.mark.parametrize("name,reserves", _STUDIES[:3])
+def test_broken_outage_rows_are_named_as_in_the_full_bands(request, name,
+                                                           reserves):
+    """A schedule that breaks outage rows raises InfeasibleSetError naming
+    every broken row of the full bands, in their order."""
+    study = _study(request, name, reserves)
+    raw = study.case.to_dict()
+    # Every line's limit just above its scheduled flow: the schedule stays
+    # feasible, but an outage that moves flow onto a line breaks its rows.
+    for line in raw["lines"]:
+        line["flow_limit_pu"] = abs(study.flows.flow(line["id"])) + 1e-3
+    tight = Study.build(case_from_dict(raw), study.reserves)
+    spec = FlexibilitySpec("active", "n1", tight.reserves)
+    full = ref.full_stack(tight, spec)
+    broken = tuple(l for l, off in zip(full.labels, full.b) if off < -1e-9)
+    assert any(l.startswith("L:") for l in broken)
+    with pytest.raises(InfeasibleSetError) as info:
+        tight.assemble(spec)
+    assert info.value.rows == broken
+
+
+def test_rts_file_reserves_assemble_only_rows_that_can_bind(rts_case):
+    """With file reserves no RTS-96 area unit has a source column, so the
+    generator outages keep at most one row per line and side, and every
+    line outage at most one row per side."""
+    study = Study.build(rts_case, ReserveConfig(mode="file"))
+    view = study.view
+    assert view.n_i == 0
+    block = study.assemble(FlexibilitySpec("active", "n1", study.reserves))
+    nominal = assemble_nominal(view, study.ptdf, study.limits)
+    assert block.nrows <= (nominal.nrows + 2 * len(view.line_ids)
+                           + 2 * len(study.lodf.outage_ids))
+
+
+def test_monitored_lines_limit_every_band(triangle_parts):
+    """Monitoring a subset of lines keeps exactly the rows of those lines;
+    an unknown line is refused."""
+    case, view, flows, limits, ptdf = triangle_parts
+    ggdf, lodf = compute_ggdf(view, ptdf), compute_lodf(view)
+    internal = tuple(ln.id for ln in view.internal_lines)
+    blocks = [
+        (assemble_nominal(view, ptdf, limits),
+         assemble_nominal(view, ptdf, limits, monitored=internal)),
+        (assemble_generator_outages(view, ptdf, ggdf, limits),
+         assemble_generator_outages(view, ptdf, ggdf, limits, monitored=internal)),
+    ]
+    for every, some in blocks:
+        assert some.labels == tuple(l for l in every.labels
+                                    if not l.endswith((":3-4:up", ":3-4:dn")))
+    line_rows = assemble_line_outages(view, ptdf, lodf, limits, flows,
+                                      monitored=("2-3",))
+    assert line_rows.nrows and all(":line:2-3:" in l for l in line_rows.labels)
+    with pytest.raises(GridflexError, match="9-9"):
+        assemble_nominal(view, ptdf, limits, monitored=("9-9",))
