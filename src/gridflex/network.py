@@ -128,10 +128,10 @@ class NetworkCase:
             "areas": list(self.areas),
             "reference_bus": self.reference_bus,
             "atc": atc,
-            "buses": [_record_dict(b) for b in sorted(self.buses, key=lambda b: b.id)],
+            "buses": [_record_dict(b) for b in sorted(self.buses, key=_bus_key)],
             "lines": [_record_dict(ln) for ln in sorted(self.lines, key=_line_key)],
             "generators": [_record_dict(g) for g in
-                           sorted(self.generators, key=lambda g: (g.bus, g.id))],
+                           sorted(self.generators, key=_generator_key)],
         }
 
     def case_hash(self) -> str:
@@ -144,8 +144,16 @@ class NetworkCase:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _bus_key(b: Bus) -> int:
+    return b.id
+
+
 def _line_key(ln: TransmissionLine) -> tuple:
     return (ln.from_bus, ln.to_bus, ln.id)
+
+
+def _generator_key(g: Generator) -> tuple:
+    return (g.bus, g.id)
 
 
 @dataclass(frozen=True)
@@ -221,7 +229,7 @@ class AreaView:
     def units(self) -> tuple[Generator, ...]:
         """The area's generators in ``(bus, id)`` order."""
         return tuple(sorted(self.case.area_generators(self.area),
-                            key=lambda g: (g.bus, g.id)))
+                            key=_generator_key))
 
 
 # Field type -> (conversion, the JSON types it accepts); never a bool.
@@ -277,7 +285,17 @@ def _record_dict(record) -> dict:
 
 def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
     """Build and validate a :class:`NetworkCase` from parsed JSON against
-    the record dataclasses; top-level errors are reported under ``name``."""
+    the record dataclasses; top-level errors are reported under ``name``.
+
+    The case holds its buses, lines and generators in the canonical order
+    of :meth:`NetworkCase.to_dict`, so two files with one ``case_hash``
+    give one case, and the same bits downstream: the full-network shift
+    matrix is solved over the buses in case order, and the scheduled
+    injections add up the units of a bus in case order.  Each record is
+    read, and a malformed one reported as ``line #i``, in file order;
+    :func:`validate_case` then meets the elements in canonical order, so
+    of several faults it may report a different one first.
+    """
     top = _read(raw, (("name", "str", name),) + _CASE_SCHEMA, name)
     areas = top["areas"]
     if not (len(areas) == 2 and all(isinstance(a, str) for a in areas)
@@ -290,16 +308,17 @@ def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
         for key, cls, noun in (("buses", Bus, "bus"),
                                ("lines", TransmissionLine, "line"),
                                ("generators", Generator, "generator")))
-    buses = tuple(Bus(**kw) for kw in bus_kw)
+    buses = tuple(sorted((Bus(**kw) for kw in bus_kw), key=_bus_key))
     bus_area = {b.id: b.area_id for b in buses}
-    lines = tuple(TransmissionLine(**kw, is_tie=bus_area.get(kw["from_bus"])
-                                   != bus_area.get(kw["to_bus"]))
-                  for kw in line_kw)
+    lines = tuple(sorted((TransmissionLine(**kw, is_tie=bus_area.get(kw["from_bus"])
+                                           != bus_area.get(kw["to_bus"]))
+                          for kw in line_kw), key=_line_key))
     case = NetworkCase(
         name=top["name"],
         buses=buses,
         lines=lines,
-        generators=tuple(Generator(**kw) for kw in gen_kw),
+        generators=tuple(sorted((Generator(**kw) for kw in gen_kw),
+                                key=_generator_key)),
         areas=(areas[0], areas[1]),
         reference_bus=top["reference_bus"],
         mva_base=top["mva_base"],
@@ -533,7 +552,7 @@ def partition(case: NetworkCase, area: str | None = None) -> AreaView:
     in_area = {b.id for b in case.buses if b.area_id == area}
 
     buses = tuple(sorted((b for b in case.buses if b.id in in_area),
-                         key=lambda b: b.id))
+                         key=_bus_key))
     internal = tuple(sorted(
         (ln for ln in case.lines
          if ln.from_bus in in_area and ln.to_bus in in_area), key=_line_key))

@@ -463,6 +463,29 @@ def test_repeated_runs_are_byte_identical(runner, tmp_path):
         assert fa.read_bytes() == fb.read_bytes(), fa.name
 
 
+def test_a_shuffled_case_file_writes_the_same_bytes(runner, tmp_path):
+    """One case hash, one set of bytes: RTS-96 with its buses, lines and
+    generators shuffled writes the artifacts of the original file."""
+    raw = json.loads(Path(_rts()).read_text())
+    rng = np.random.default_rng(12)
+    for key in ("buses", "lines", "generators"):
+        raw[key] = [raw[key][k] for k in rng.permutation(len(raw[key]))]
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(raw))
+    for name, case in (("original", _rts()), ("shuffled", str(shuffled))):
+        for cmd in (["build", "--security", "n1"],
+                    ["maxdev", "--reserve-pct", "0.1", "--neighbor-security"]):
+            result = runner.invoke(main, [
+                "--out-dir", str(tmp_path / name), *cmd, "--case", case])
+            assert result.exit_code == 0, result.output
+    files = sorted(p.name for p in (tmp_path / "original").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "shuffled").iterdir())
+    assert "max_deviations.csv" in files and "flexibility_set.json" in files
+    for name in files:
+        assert ((tmp_path / "original" / name).read_bytes()
+                == (tmp_path / "shuffled" / name).read_bytes()), name
+
+
 def test_out_dir_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("GRIDFLEX_OUT_DIR", str(tmp_path / "env_out"))
     result = runner.invoke(main, ["metrics", "--case", _toy()])
