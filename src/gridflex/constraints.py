@@ -24,6 +24,16 @@ widens it (on RTS-96 with full reserves, 474 of the 1,064 nonzero
 generator-outage shifts and 794 of the 1,640 line-outage ones are
 negative).  A stricter variant for line outages that also
 tracks the base-case deviation flow is available behind a flag.
+
+An outage block emits only the rows that can bind.  Of rows that are
+positive multiples of one another it keeps the one
+:func:`polytope.normalize_rows` would keep, as assembled and with its
+label: per non-strict line outage one row per sign, and per line and
+side one row for all units at buses without a source column.  On
+RTS-96 (active ``n1``) that keeps 82 of 3,280 line-outage rows, and 82
+of 2,296 generator-outage rows with file reserves, where no area unit
+has a source column; with full reserves every dispatched unit has one,
+and all 2,296 stay.
 """
 
 from __future__ import annotations

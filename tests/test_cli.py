@@ -13,6 +13,7 @@ from gridflex import (CaseError, FlexibilitySpec, HPolytope, NetworkCase,
 from gridflex.analysis import Study
 from gridflex.cli import main
 
+import band_reference
 from conftest import data_path, triangle_tie_dict
 
 
@@ -484,6 +485,29 @@ def test_a_shuffled_case_file_writes_the_same_bytes(runner, tmp_path):
     for name in files:
         assert ((tmp_path / "original" / name).read_bytes()
                 == (tmp_path / "shuffled" / name).read_bytes()), name
+
+
+def test_build_with_strict_line_outages_keeps_every_strict_row(runner, tmp_path,
+                                                               rts_case):
+    """``--strict-line-outages`` bounds each post-outage flow on its own
+    row: RTS-96 keeps all 3,190 of them, where the default keeps at most
+    two per outage."""
+    counts = {}
+    for flag in ((), ("--strict-line-outages",)):
+        out = tmp_path / ("strict" if flag else "default")
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "build", "--case", _rts(), "--security",
+            "n1", *flag])
+        assert result.exit_code == 0, result.output
+        block = json.loads((out / "flexibility_set.json").read_text())
+        counts[bool(flag)] = sum(l.startswith("L:") for l in block["labels"])
+        assert f"assembled constraints{len(block['b']):>15}" in result.output
+    study = Study.build(rts_case, ReserveConfig())
+    full = band_reference.line_outage_bands(
+        study.view, study.ptdf, study.lodf, study.limits, study.flows,
+        strict=True)
+    assert counts[True] == full.nrows == 3190
+    assert counts[False] <= 2 * len(study.lodf.outage_ids)
 
 
 def test_out_dir_env_override(runner, tmp_path, monkeypatch):

@@ -35,7 +35,11 @@ When the ``artifacts`` lines of two trees differ, ``--save FILE`` on one
 writes that battery's exit codes and artifacts to ``FILE`` as JSON, and
 ``--against FILE`` on the other prints, per artifact that differs, the
 largest move of a number in it, or that it differs in more than numbers
-(its text apart from the numbers, or how many numbers it holds).
+(its text apart from the numbers, or how many numbers it holds).  For a
+constraint block (``flexibility_set.json``) that differs in its rows it
+also prints the saved and the new row counts and how many of the new
+rows (label, ``C_i``, ``C_e`` and ``b``) occur byte-identical in the saved
+file.
 Nothing is written under the repository: ``FILE`` must lie outside it.
 """
 
@@ -181,6 +185,32 @@ def _artifacts(tmp: Path, errors: list) -> tuple[int, str, dict]:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _block_rows(text: str) -> list[str] | None:
+    """The rows of a constraint-block artifact, each its label, ``C_i``
+    and ``C_e`` rows and ``b`` as JSON text; None for another artifact."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    if not (isinstance(record, dict)
+            and {"labels", "C_i", "C_e", "b"} <= record.keys()):
+        return None
+    return [json.dumps(row) for row in zip(record["labels"], record["C_i"],
+                                           record["C_e"], record["b"])]
+
+
+def _row_summary(old: str, new: str) -> str:
+    """For two constraint-block artifacts, their row counts and how many
+    new rows occur byte-identical among the old ones; else nothing."""
+    old_rows, new_rows = _block_rows(old), _block_rows(new)
+    if old_rows is None or new_rows is None:
+        return ""
+    known = set(old_rows)
+    found = sum(row in known for row in new_rows)
+    return (f"; rows {len(old_rows)} -> {len(new_rows)}, {found} of "
+            f"{len(new_rows)} new rows byte-identical in the saved file")
+
+
 def _moves(saved: dict, outputs: dict) -> list[str]:
     """One line per output of ``saved`` or ``outputs`` that differs between
     them: the largest move of a number in it when only numbers differ,
@@ -196,7 +226,8 @@ def _moves(saved: dict, outputs: dict) -> list[str]:
             continue
         # The text between the numbers, and so how many there are.
         if _NUMBER.split(old) != _NUMBER.split(new):
-            lines.append(f"  {name}: differs in more than numbers")
+            lines.append(f"  {name}: differs in more than numbers"
+                         f"{_row_summary(old, new)}")
             continue
         old_nums, new_nums = _NUMBER.findall(old), _NUMBER.findall(new)
         moves = [abs(float(a) - float(b)) for a, b in zip(old_nums, new_nums)
