@@ -412,8 +412,8 @@ class _NeighborModel:
     picks it; the kept rows stay as assembled, unscaled and in their
     order.  With neighbor security on RTS-96 that leaves 906 of the 2,300
     assembled rows (the full bands less their tie rows hold 4,890, and
-    merge to the same 906).  All zero rows share one direction, so one with a negative
-    offset stays and makes every LP infeasible.  Each mode solves on one
+    merge to the same 906).  All zero rows share one direction, so one
+    with a negative offset stays and makes every LP infeasible.  Each mode solves on one
     :class:`lp.LPSystem` over the kept rows plus the imported facets,
     freeing the probed bus's ``delta`` column with ``p_B`` and ``p_e``.
     Its working rows start from the kept reserve bands and balance pair,

@@ -176,11 +176,14 @@ def _watched(view: AreaView, monitored) -> np.ndarray:
     every line when it is ``None``."""
     if monitored is None:
         return np.ones(len(view.line_ids), dtype=bool)
-    unknown = set(monitored).difference(view.line_ids)
+    watch = set(monitored)
+    unknown = watch.difference(view.line_ids)
     if unknown:
         raise GridflexError(f"monitored lines not in area {view.area}: "
                             f"{', '.join(sorted(unknown))}")
-    return np.isin(view.line_ids, list(monitored))
+    # Not np.isin: on these sizes it sorts with np.unique, which imports
+    # numpy.ma on its first call.
+    return np.array([l in watch for l in view.line_ids], dtype=bool)
 
 
 def _first_least(score: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -223,7 +226,7 @@ def _outage_block(names, line_ids, a, upper, lower, rows, group,
     k, side, l = np.unravel_index(np.flatnonzero(keep), offset.shape)
     coefs = a[k, l]
     coefs[side == 1] *= -1.0
-    tails = [[f":line:{l}:{s}" for l in line_ids] for s in ("up", "dn")]
+    tails = [[f":line:{line}:{name}" for line in line_ids] for name in ("up", "dn")]
     return ConstraintBlock(coefs, offset[k, side, l], [
         names[i] + tails[s][j]
         for i, s, j in zip(k.tolist(), side.tolist(), l.tolist())], n_i)

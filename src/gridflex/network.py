@@ -289,12 +289,13 @@ def case_from_dict(raw: dict, name: str = "case") -> NetworkCase:
 
     The case holds its buses, lines and generators in the canonical order
     of :meth:`NetworkCase.to_dict`, so two files with one ``case_hash``
-    give one case, and the same bits downstream: the full-network shift
-    matrix is solved over the buses in case order, and the scheduled
-    injections add up the units of a bus in case order.  Each record is
-    read, and a malformed one reported as ``line #i``, in file order;
-    :func:`validate_case` then meets the elements in canonical order, so
-    of several faults it may report a different one first.
+    give one case and the same bits downstream, where the element order
+    enters the arithmetic: the full-network shift matrix is solved over
+    the buses in case order, and the scheduled injections add up the
+    units of a bus in case order.  Each record is read, and a malformed
+    one reported by its position in the file (``line #i``), in file
+    order; :func:`validate_case` then meets the elements in canonical
+    order, so of several faults it may report a different one first.
     """
     top = _read(raw, (("name", "str", name),) + _CASE_SCHEMA, name)
     areas = top["areas"]

@@ -711,18 +711,34 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_atc_leaves_numpy_ma_unloaded(tmp_path):
-    """``python -m gridflex.cli atc`` enumerates vertices and 2-D hulls
-    without importing ``numpy.ma``, which ``np.unique(..., axis=0)``
-    imports on its first call."""
+def _fresh_cli(*args):
+    """Run ``python -m gridflex.cli *args`` in a fresh process; its last
+    two lines of output are the exit code and whether ``numpy.ma`` was
+    imported."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", CLI_RUN, "--out-dir", str(tmp_path), "atc",
-         "--case", _toy()], env=env, capture_output=True, text=True,
-        timeout=300)
+    return subprocess.run([sys.executable, "-c", CLI_RUN, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_atc_leaves_numpy_ma_unloaded(tmp_path):
+    """``python -m gridflex.cli atc`` enumerates vertices and 2-D hulls
+    without importing ``numpy.ma``, which ``np.unique(..., axis=0)``
+    imports on its first call."""
+    result = _fresh_cli("--out-dir", str(tmp_path), "atc", "--case", _toy())
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["exit 0", "False"]
     assert (tmp_path / "atc_comparison.json").is_file()
+
+
+def test_neighbor_security_maxdev_leaves_numpy_ma_unloaded(tmp_path):
+    """The neighbor's assemblers pick the lines they monitor without
+    ``np.isin``, which on RTS-96's line count sorts with ``np.unique`` and
+    so imports ``numpy.ma``."""
+    result = _fresh_cli("--out-dir", str(tmp_path), "maxdev", "--case", _rts(),
+                        "--reserve-pct", "0.1", "--neighbor-security")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["exit 0", "False"]
+    assert (tmp_path / "max_deviations.csv").is_file()
