@@ -212,6 +212,27 @@ def test_ggdf_matches_injection_change_oracle(rts_case):
         assert np.allclose(ggdf.matrix[:, j], change, atol=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["file", "full"])
+@pytest.mark.parametrize("neighbor", [False, True], ids=["study", "neighbor"])
+def test_ggdf_keeps_the_bits_of_the_unit_by_unit_sum(rts_case, mode, neighbor):
+    """Every factor and share equals, to the bit, the loop that adds the
+    surviving units' shares one after another in area order."""
+    case = configure_reserves(rts_case, ReserveConfig(mode=mode))
+    view = partition(case, case.neighbor_area if neighbor else None)
+    ptdf = compute_ptdf(view)
+    ggdf = compute_ggdf(view, ptdf, units=view.units)
+    nodal, index = ptdf.nodal, ptdf.bus_index
+    for j, unit in enumerate(view.units):
+        rest = [m for m in view.units if m.id != unit.id]
+        total = sum(m.capacity_pu for m in rest)
+        share = {m.id: m.capacity_pu / total for m in rest}
+        col = -nodal[:, index[unit.bus]]
+        for m in rest:
+            col = col + share[m.id] * nodal[:, index[m.bus]]
+        assert ggdf.matrix[:, j].tobytes() == col.tobytes(), unit.id
+        assert ggdf.weights[j] == share
+
+
 def test_ggdf_requires_two_generators():
     raw = triangle_tie_dict()
     raw["generators"] = [
