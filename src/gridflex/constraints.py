@@ -207,7 +207,8 @@ def _outage_block(names, line_ids, a, upper, lower, rows, group,
     ``group[k, side, l]`` numbers the rows that are positive multiples of
     one another.  Of the rows of one group with a coefficient above
     ``COEF_ZERO_TOL``, only the first of least offset over row norm
-    stays, the one :func:`polytope.normalize_rows` would keep.  Every row
+    stays: the one :func:`polytope.normalize_rows` keeps, unless two
+    offsets lie within its 1e-15 tie tolerance.  Every row
     with an offset below ``-ORIGIN_TOL`` stays too, as does every row of
     no coefficient but a negative offset; the other rows of no
     coefficient are vacuous and go.

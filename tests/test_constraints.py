@@ -5,7 +5,8 @@ from gridflex import (CaseError, ConstraintBlock, FlexibilitySpec, GridflexError
                       InfeasibleSetError, ReserveConfig, assemble_generator_outages,
                       assemble_line_outages, assemble_nominal, case_from_dict,
                       compute_dc_flows, compute_delta_limits, compute_ggdf,
-                      compute_lodf, compute_ptdf, partition, stack_n1)
+                      compute_lodf, compute_ptdf, partition, scale_load,
+                      stack_n1)
 from gridflex.analysis import Study
 from gridflex.network import AreaView, TieAttachment, TransmissionLine
 from gridflex.polytope import _direction_key, _unit_rows, normalize_rows
@@ -363,8 +364,6 @@ def _study(request, name: str, reserves: str) -> Study:
     if name == "triangle":
         case = case_from_dict(triangle_tie_dict())
     else:
-        from gridflex import scale_load
-
         case = request.getfixturevalue("rts_case")
         if "@" in name:
             case = scale_load(case, float(name.split("@")[1]))
